@@ -74,7 +74,7 @@ class Dataset:
 
     def matrix(self) -> np.ndarray:
         """Images reshaped to row vectors and stacked: N x P, row-major flattening."""
-        return np.stack([rec.pixels.ravel() for rec in self.records]).astype(np.float64)
+        return np.stack([rec.pixels.ravel() for rec in self.records], dtype=np.float64)
 
     def labels(self) -> np.ndarray:
         return np.array([rec.label for rec in self.records], dtype=np.float64)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -211,6 +212,12 @@ def _run(
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
+        # an earlier run into this directory may have gone more iterations;
+        # drop its outputs so the tree matches this run's summary.jsonl
+        for stale in out_path.glob("iter-*"):
+            if stale.is_dir():
+                shutil.rmtree(stale)
+        (out_path / "summary.jsonl").unlink(missing_ok=True)
 
     basis = fit(val)
     val_coords = project(basis, val)

@@ -107,6 +107,20 @@ def test_metrics_record_schedule_and_counts(small_corpus, tmp_path):
     assert m1["selection_mode"] == "failure"
 
 
+def test_rerun_into_the_same_directory_drops_stale_iterations(small_corpus, tmp_path):
+    train_ds, val_ds, pool_ds = small_corpus
+    run_loop(
+        train_ds, val_ds, pool_ds,
+        cfg=small_cfg(max_iterations=3, convergence_patience=10), out_dir=tmp_path,
+    )
+    assert (tmp_path / "iter-3").is_dir()
+    run_loop(train_ds, val_ds, pool_ds, cfg=small_cfg(max_iterations=1), out_dir=tmp_path)
+    lines = (tmp_path / "summary.jsonl").read_text().splitlines()
+    named = {f"iter-{json.loads(line)['iteration']}" for line in lines}
+    on_disk = {d.name for d in tmp_path.glob("iter-*")}
+    assert on_disk == named == {"iter-0", "iter-1"}
+
+
 def test_loop_without_out_dir_writes_nothing(small_corpus, tmp_path):
     train_ds, val_ds, pool_ds = small_corpus
     states = run_loop(train_ds, val_ds, pool_ds, cfg=small_cfg(), out_dir=None)

@@ -6,6 +6,7 @@ import pytest
 from biasgrid.dataset import Dataset, ImageRecord
 from biasgrid.errors import DataError, NumericalError
 from biasgrid.pca import (
+    _fix_signs,
     dataset_fingerprint,
     fit,
     load_basis,
@@ -22,6 +23,49 @@ def planted_plane(n=40, p=30, scales=(9.0, 2.0), seed=0):
     q, _ = np.linalg.qr(rng.normal(size=(p, 2)))
     coeffs = rng.normal(size=(n, 2)) * np.array(scales)
     return rng.normal(size=p) + coeffs @ q.T, q
+
+
+def prescribed_spectrum(n, p, ratio, seed):
+    """N x P matrix whose centred singular values are 10 * (1, ratio, ratio/2, ...)."""
+    rng = np.random.default_rng(seed)
+    k = min(n - 1, p)
+    u = rng.normal(size=(n, k))
+    u, _ = np.linalg.qr(u - u.mean(axis=0))  # columns orthogonal to the ones vector
+    v, _ = np.linalg.qr(rng.normal(size=(p, k)))
+    svals = 10.0 * np.concatenate([[1.0, ratio], ratio / 2 * 0.9 ** np.arange(k - 2)])
+    return rng.normal(size=p) + (u * svals) @ v.T
+
+
+@pytest.mark.parametrize("shape", [(30, 80), (80, 30)], ids=["wide", "tall"])
+@pytest.mark.parametrize("ratio", [0.5, 1e-2, 1e-6])
+def test_fit_matches_lapack_svd_across_spectra(shape, ratio, tmp_path):
+    # tall input and s2/s1 = 1e-6 (below the Gram path's limit) take the thin SVD
+    mat = prescribed_spectrum(*shape, ratio, seed=15)
+    _, svals, vt = np.linalg.svd(mat - mat.mean(axis=0), full_matrices=False)
+    basis = fit(mat)
+    assert np.allclose(basis.components, _fix_signs(vt[:2].T), rtol=0.0, atol=1e-9)
+    assert np.allclose(basis.singular_values, svals[:2], rtol=1e-12, atol=0.0)
+    path = tmp_path / "basis.json"
+    save_basis(basis, path)
+    assert np.array_equal(load_basis(path).components, basis.components)
+
+
+def test_fit_never_runs_a_full_svd_on_a_well_conditioned_input(monkeypatch):
+    shapes = []
+    full_svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return full_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    rng = np.random.default_rng(12)
+    fit(rng.normal(size=(40, 500)))
+    assert shapes and all(min(s) <= 2 for s in shapes), shapes
+    # a near-collinear input falls back to the thin SVD of the whole matrix
+    shapes.clear()
+    fit(prescribed_spectrum(40, 500, 1e-6, seed=13))
+    assert (40, 500) in shapes
 
 
 def test_fit_matches_jacobi_oracle():
@@ -110,10 +154,12 @@ def test_fit_input_validation():
 
 
 def test_degenerate_spectrum_raises():
-    t = np.linspace(0.0, 1.0, 8)[:, None]
-    line = 0.3 + t * np.array([1.0, 2.0, -1.0])  # rank-1 after centering
-    with pytest.raises(NumericalError, match="degenerate spectrum"):
-        fit(line)
+    # a tall (8 x 3) line takes the thin SVD, a wide (5 x 12) one the Gram fit
+    for n, direction in ((8, np.array([1.0, 2.0, -1.0])), (5, np.random.default_rng(14).normal(size=12))):
+        t = np.linspace(0.0, 1.0, n)[:, None]
+        line = 0.3 + t * direction  # rank-1 after centering
+        with pytest.raises(NumericalError, match="degenerate spectrum"):
+            fit(line)
 
 
 def test_project_dimension_mismatch_names_both_sizes():
