@@ -98,11 +98,12 @@ def colormap(correctness) -> np.ndarray:
     return np.rint(rgb).astype(np.uint8)
 
 
-def _resize_nearest(img: np.ndarray, size: int) -> np.ndarray:
-    h, w = img.shape
+def _resize_nearest(imgs: np.ndarray, size: int) -> np.ndarray:
+    """Nearest-neighbor resize of a K x H x W stack to K x size x size."""
+    _, h, w = imgs.shape
     rr = (np.arange(size) * h) // size
     cc = (np.arange(size) * w) // size
-    return img[np.ix_(rr, cc)]
+    return imgs[:, rr][:, :, cc]
 
 
 def render(
@@ -113,27 +114,30 @@ def render(
     alpha: float = DEFAULT_ALPHA,
 ) -> SaliencyImage:
     """Paint the grid: per cell, nearest-neighbor resized image blended with
-    the correctness tint; empty cells are flat mid-gray."""
+    the correctness tint; empty cells are flat mid-gray. Each grid row is
+    painted in one step: one colormap call, one gather, one blend."""
     if cell_px < 8:
         raise DataError("cell_px must be at least 8")
     if not 0.0 <= alpha <= 1.0:
         raise DataError("alpha must lie in [0, 1]")
     canvas = np.empty((grid.rows * cell_px, grid.cols * cell_px, 3), dtype=np.uint8)
-    for r in range(grid.rows):
-        for c in range(grid.cols):
-            rec_id = grid.cells[r][c]
-            ys, xs = r * cell_px, c * cell_px
-            if rec_id is None:
-                canvas[ys : ys + cell_px, xs : xs + cell_px] = EMPTY_CELL_RGB
-                continue
-            if rec_id not in failures.scores:
-                raise DataError(f"no failure score for grid cell image '{rec_id}'")
-            rec = dataset.record_by_id(rec_id)
-            gray = np.rint(_resize_nearest(rec.pixels, cell_px) * 255.0)
-            tint = colormap(1.0 - failures.scores[rec_id]).astype(np.float64)
-            blended = (1.0 - alpha) * gray[:, :, None] + alpha * tint
-            cell = np.clip(np.rint(blended), 0, 255).astype(np.uint8)
-            canvas[ys : ys + cell_px, xs : xs + cell_px] = cell
+    # one grid row of the canvas as cell_px x cols x cell_px x 3: cell c is [:, c]
+    row_blocks = canvas.reshape(grid.rows, cell_px, grid.cols, cell_px, 3)
+    for block, row in zip(row_blocks, grid.cells):
+        block[...] = EMPTY_CELL_RGB
+        occupied = [c for c, rec_id in enumerate(row) if rec_id is not None]
+        if not occupied:
+            continue
+        scores, pixels = [], []
+        for c in occupied:
+            if row[c] not in failures.scores:
+                raise DataError(f"no failure score for grid cell image '{row[c]}'")
+            scores.append(failures.scores[row[c]])
+            pixels.append(dataset.record_by_id(row[c]).pixels)
+        gray = np.rint(_resize_nearest(np.stack(pixels), cell_px) * 255.0)
+        tint = colormap(1.0 - np.array(scores)).astype(np.float64)
+        blended = (1.0 - alpha) * gray[..., None] + alpha * tint[:, None, None, :]
+        block[:, occupied] = np.clip(np.rint(blended), 0, 255).astype(np.uint8).swapaxes(0, 1)
     legend = {
         "anchors": {f"{pos}": [int(v) for v in rgb] for pos, rgb in ANCHORS},
         "encodes": "correctness (1 - failure score)",

@@ -3,8 +3,9 @@
 Everything here is deliberately written a different way than the code under
 test: the SVD is a hand-rolled one-sided Jacobi instead of LAPACK, the grid
 assignment is literal python loops instead of vectorized argmin, neighbor
-search sorts (distance, index) pairs, and gradients come from central finite
-differences of the loss value.
+search sorts (distance, index) pairs, gradients come from central finite
+differences of the loss value, and the grid render paints pixel by pixel in
+python floats.
 """
 
 import math
@@ -143,3 +144,38 @@ def central_diff_grad(loss_fn, weights, bias, eps=1e-6):
         grad_w[i] = (loss_fn(up, bias) - loss_fn(down, bias)) / (2.0 * eps)
     grad_b = (loss_fn(weights, bias + eps) - loss_fn(weights, bias - eps)) / (2.0 * eps)
     return grad_w, grad_b
+
+
+def per_pixel_render(cells, images, failures, cell_px, alpha, anchors, empty_rgb):
+    """Literal saliency render: rows*cell_px x cols*cell_px x 3 uint8.
+
+    cells is rows x cols of image ids or None; images maps id -> H x W array
+    in [0, 1]; failures maps id -> failure score; anchors are the three
+    (position, rgb) stops of the correctness ramp at 0, 0.5 and 1. Each
+    cell pixel takes its nearest-neighbor source pixel as gray =
+    round(255 v), blends it with the cell's tint as (1 - alpha) gray +
+    alpha tint, and rounds half to even.
+    """
+    (_, lo), (_, mid), (_, hi) = anchors
+    rows, cols = len(cells), len(cells[0])
+    out = np.zeros((rows * cell_px, cols * cell_px, 3), dtype=np.uint8)
+    for r in range(rows):
+        for c in range(cols):
+            rec_id = cells[r][c]
+            if rec_id is None:
+                out[r * cell_px : (r + 1) * cell_px, c * cell_px : (c + 1) * cell_px] = empty_rgb
+                continue
+            t = 1.0 - float(failures[rec_id])
+            if t <= 0.5:
+                tint = [float(round(a + (b - a) * (t / 0.5))) for a, b in zip(lo, mid)]
+            else:
+                tint = [float(round(a + (b - a) * ((t - 0.5) / 0.5))) for a, b in zip(mid, hi)]
+            img = images[rec_id]
+            h, w = len(img), len(img[0])
+            for y in range(cell_px):
+                for x in range(cell_px):
+                    gray = float(round(float(img[y * h // cell_px][x * w // cell_px]) * 255.0))
+                    for ch in range(3):
+                        value = round((1.0 - alpha) * gray + alpha * tint[ch])
+                        out[r * cell_px + y, c * cell_px + x, ch] = min(max(value, 0), 255)
+    return out

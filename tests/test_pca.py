@@ -1,5 +1,7 @@
 """Rank-2 PCA: structure recovery, sign convention, degeneracy, I/O."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,34 @@ def test_fit_never_runs_a_full_svd_on_a_well_conditioned_input(monkeypatch):
     shapes.clear()
     fit(prescribed_spectrum(40, 500, 1e-6, seed=13))
     assert (40, 500) in shapes
+
+
+def record_eigh_shapes(monkeypatch) -> list:
+    shapes = []
+    full_eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return full_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    return shapes
+
+
+def test_fit_never_runs_a_full_eigh_on_a_well_gapped_input(monkeypatch):
+    shapes = record_eigh_shapes(monkeypatch)
+    fit(prescribed_spectrum(40, 500, 0.5, seed=17))
+    assert shapes and (40, 40) not in shapes, shapes
+
+
+def test_fit_falls_back_to_a_full_eigh_on_a_flat_spectrum(monkeypatch):
+    shapes = record_eigh_shapes(monkeypatch)
+    mat = np.random.default_rng(12).normal(size=(40, 500))
+    basis = fit(mat)
+    assert (40, 40) in shapes
+    _, svals, vt = np.linalg.svd(mat - mat.mean(axis=0), full_matrices=False)
+    assert np.allclose(basis.components, _fix_signs(vt[:2].T), rtol=0.0, atol=1e-9)
+    assert np.allclose(basis.singular_values, svals[:2], rtol=1e-12, atol=0.0)
 
 
 def test_fit_matches_jacobi_oracle():
@@ -211,3 +241,17 @@ def test_fingerprint_tracks_content_and_shape():
     c = a.copy()
     c[0, 0] = 1e-9
     assert dataset_fingerprint(a) != dataset_fingerprint(c)
+
+
+@pytest.mark.parametrize("layout", ["c-order", "fortran-order", "strided-view"])
+def test_fingerprint_is_sha256_of_shape_and_c_order_bytes(layout):
+    # the digest basis.json files record as trained_on: any memory layout of
+    # the same matrix hashes as its C-ordered copy
+    base = np.random.default_rng(18).normal(size=(14, 22))
+    mat = {
+        "c-order": base[:7, :11].copy(),
+        "fortran-order": np.asfortranarray(base[:7, :11]),
+        "strided-view": base[::2, ::2],
+    }[layout]
+    expected = hashlib.sha256(str(mat.shape).encode("ascii") + mat.tobytes()).hexdigest()[:16]
+    assert dataset_fingerprint(mat) == expected

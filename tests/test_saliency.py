@@ -22,6 +22,7 @@ from biasgrid.saliency import (
     save_sidecar,
     scores_in_order,
 )
+from oracles import per_pixel_render
 
 
 def flat_dataset(values, side=8):
@@ -106,6 +107,24 @@ def test_render_paints_empty_cells_gray():
     for r, c in empties:
         block = img.pixels[r * 8 : (r + 1) * 8, c * 8 : (c + 1) * 8]
         assert np.all(block == np.array(EMPTY_CELL_RGB, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
+def test_render_matches_per_pixel_reference(alpha):
+    # 10 non-square 12 x 20 images on a 4 x 4 grid: row 2 half full, row 3
+    # empty, plus a hole punched in row 0; cell_px 9 is no multiple of 12 or 20
+    rng = np.random.default_rng(16)
+    ds = Dataset.from_records([ImageRecord(f"n{i}", rng.random((12, 20)), i % 2) for i in range(10)])
+    grid = make_grid(rng.normal(size=(10, 2)), 4, 4, ids=ds.ids())
+    grid.cells[0][1] = None
+    labels = [0.0] * 10
+    preds = np.concatenate([[0.5, 0.0, 1.0, 0.25], rng.random(6)])  # correctness 0.5, 1, 0, 0.75
+    failures = failures_from_scores(ds.ids(), preds, labels)
+    img = render(grid, ds, failures, cell_px=9, alpha=alpha)
+    images = {rec.id: rec.pixels for rec in ds.records}
+    expected = per_pixel_render(grid.cells, images, failures.scores, 9, alpha, ANCHORS, EMPTY_CELL_RGB)
+    assert [sum(c is None for c in row) for row in grid.cells] == [1, 0, 2, 4]
+    assert np.array_equal(img.pixels, expected)
 
 
 def test_render_legend_documents_the_encoding():
