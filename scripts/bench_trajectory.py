@@ -3,14 +3,15 @@
     python3 scripts/bench_trajectory.py --parent ../parent --workload grid-large \
         --seeds 1-10 --traced-seeds 1-2 --out BENCH_6.json
 
-Runs perfbench/run.py of each checkout as BENCHMARK.json says, one process
-at a time: an untraced run per seed and side, then a traced run per traced
-seed and side, which side goes first alternating from pair to pair. Each
-result is read from the last line run.py prints. The workload's entry in --out (other workloads' entries are kept)
-holds, per side, the median and quartiles of each end-to-end metric, the
-number of pairs the change won, the share of failed operations, and
-every traced layer metric per seed. Progress lines print the layer metrics
-in TRACED.
+Runs perfbench/run.py of the --parent checkout and of the checkout holding
+this script as BENCHMARK.json says (its command and run_seconds), one
+process at a time: an untraced run per seed and side, then a traced run per
+traced seed and side, which side goes first alternating from pair to pair.
+Each result is read from the last line run.py prints. The workload's entry
+in --out (other workloads' entries are kept) holds, per side, the median
+and quartiles of each end-to-end metric, the number of pairs the change
+won, the share of failed operations, and every traced layer metric per
+seed. Progress lines print the layer metrics in TRACED.
 """
 
 import argparse
@@ -21,17 +22,15 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from repeat import seeds  # noqa: E402
+
 TRACED = ("pca.fit.s", "saliency.render.s")
 
 
-def seeds(text: str) -> list[int]:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
-
-
-def run(side: str, checkout: Path, spec: dict, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(side: str, checkout: Path, spec: dict, workload: str, seed: int, trace: int) -> dict:
     cmd = [sys.executable, *spec["command"][1:], "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(spec["run_seconds"]), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     print(f"{side} seed {seed} trace {trace}: correct={result['correct']} "
@@ -48,26 +47,23 @@ def summary(values: list[float]) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
-    parser.add_argument("--change", type=Path, default=ROOT)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seeds, default=seeds("1-10"))
     parser.add_argument("--traced-seeds", type=seeds, default=seeds("1-2"))
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--seconds", type=float, help="run length (default: run_seconds in BENCHMARK.json)")
     args = parser.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or spec["run_seconds"]
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
 
     def alternating(seed_list: list[int], trace: int) -> list[dict]:
         orders = (("parent", "change"), ("change", "parent"))
-        return [{side: run(side, sides[side], spec, args.workload, seed, seconds, trace) for side in orders[i % 2]}
+        return [{side: run(side, sides[side], spec, args.workload, seed, trace) for side in orders[i % 2]}
                 for i, seed in enumerate(seed_list)]
 
     pairs = alternating(args.seeds, 0)
     traced = alternating(args.traced_seeds, 1)
 
-    entry = {"seeds": args.seeds, "traced_seeds": args.traced_seeds, "run_seconds": seconds, "end_to_end": {}}
+    entry = {"seeds": args.seeds, "traced_seeds": args.traced_seeds, "run_seconds": spec["run_seconds"], "end_to_end": {}}
     for m in spec["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
         vals = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in sides}

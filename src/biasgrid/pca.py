@@ -83,7 +83,7 @@ def dataset_fingerprint(data) -> str:
     mat = np.ascontiguousarray(_as_matrix(data))
     digest = hashlib.sha256()
     digest.update(str(mat.shape).encode("ascii"))
-    digest.update(memoryview(mat).cast("B"))
+    digest.update(mat)
     return digest.hexdigest()[:16]
 
 

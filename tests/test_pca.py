@@ -184,8 +184,13 @@ def test_fit_input_validation():
 
 
 def test_degenerate_spectrum_raises():
-    # a tall (8 x 3) line takes the thin SVD, a wide (5 x 12) one the Gram fit
-    for n, direction in ((8, np.array([1.0, 2.0, -1.0])), (5, np.random.default_rng(14).normal(size=12))):
+    # a tall (8 x 3) line takes the thin SVD, a wide (5 x 12) one the Gram fit's
+    # full eigh, and a wide (12 x 30) one the Gram fit's subspace iteration
+    for n, direction in (
+        (8, np.array([1.0, 2.0, -1.0])),
+        (5, np.random.default_rng(14).normal(size=12)),
+        (12, np.random.default_rng(14).normal(size=30)),
+    ):
         t = np.linspace(0.0, 1.0, n)[:, None]
         line = 0.3 + t * direction  # rank-1 after centering
         with pytest.raises(NumericalError, match="degenerate spectrum"):
@@ -243,7 +248,7 @@ def test_fingerprint_tracks_content_and_shape():
     assert dataset_fingerprint(a) != dataset_fingerprint(c)
 
 
-@pytest.mark.parametrize("layout", ["c-order", "fortran-order", "strided-view"])
+@pytest.mark.parametrize("layout", ["c-order", "fortran-order", "strided-view", "empty"])
 def test_fingerprint_is_sha256_of_shape_and_c_order_bytes(layout):
     # the digest basis.json files record as trained_on: any memory layout of
     # the same matrix hashes as its C-ordered copy
@@ -252,6 +257,7 @@ def test_fingerprint_is_sha256_of_shape_and_c_order_bytes(layout):
         "c-order": base[:7, :11].copy(),
         "fortran-order": np.asfortranarray(base[:7, :11]),
         "strided-view": base[::2, ::2],
+        "empty": np.zeros((0, 4)),
     }[layout]
     expected = hashlib.sha256(str(mat.shape).encode("ascii") + mat.tobytes()).hexdigest()[:16]
     assert dataset_fingerprint(mat) == expected
