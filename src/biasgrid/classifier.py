@@ -6,7 +6,9 @@ parameters. The reference model is logistic regression on raw pixels
 trained by mini-batch gradient descent on binary cross-entropy with an L2
 penalty, with accuracy-plateau early stopping on a stop split carved from
 the training data (the bias-measurement validation set is never used for
-stopping).
+stopping). A training call also ends as soon as the best stop-split
+accuracy plus early_stop_min_delta reaches 1.0, because no later epoch
+could then be kept.
 
 External classifiers plug in over a subprocess protocol: the child is
 invoked with a manifest path and prints one JSON object per line,
@@ -73,6 +75,7 @@ class RefModel:
     weights: np.ndarray  # (P,)
     bias: float
     trained_epochs: int = 0
+    best_epoch: int = 0  # epoch whose parameters were kept; 0 = the starting ones
     history: list[tuple[float, float]] = field(default_factory=list)  # (train_loss, stop_acc)
 
 
@@ -156,12 +159,16 @@ def _optimize(w0: np.ndarray, b0: float, dataset: Dataset, hyper: TrainHyper) ->
 
     w = w0.astype(np.float64).copy()
     b = float(b0)
-    best_acc = accuracy_from_scores(predict_matrix_raw(w, b, stop_x), stop_y)
-    best_w, best_b = w.copy(), b
+    best_acc = accuracy_from_scores(sigmoid(stop_x @ w + b), stop_y)
+    best_w, best_b, best_epoch = w.copy(), b, 0
     history: list[tuple[float, float]] = []
     bad_epochs = 0
 
-    for _ in range(hyper.max_epochs):
+    for epoch in range(1, hyper.max_epochs + 1):
+        # A stop accuracy never exceeds 1.0, so from here the improvement
+        # test below cannot pass again. Valid only for that accuracy rule.
+        if best_acc + hyper.early_stop_min_delta >= 1.0:
+            break
         if hyper.full_batch:
             batches = [np.arange(n_fit)]
         else:
@@ -172,30 +179,30 @@ def _optimize(w0: np.ndarray, b0: float, dataset: Dataset, hyper: TrainHyper) ->
             w -= hyper.learning_rate * grad_w
             b -= hyper.learning_rate * grad_b
         train_loss = loss_value(w, b, fit_x, fit_y, hyper.l2)
-        stop_acc = accuracy_from_scores(predict_matrix_raw(w, b, stop_x), stop_y)
+        stop_acc = accuracy_from_scores(sigmoid(stop_x @ w + b), stop_y)
         history.append((train_loss, stop_acc))
         if stop_acc > best_acc + hyper.early_stop_min_delta:
             best_acc = stop_acc
-            best_w, best_b = w.copy(), b
+            best_w, best_b, best_epoch = w.copy(), b, epoch
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= hyper.early_stop_patience:
                 break
-    return RefModel(weights=best_w, bias=best_b, trained_epochs=len(history), history=history)
-
-
-def predict_matrix_raw(weights: np.ndarray, bias: float, mat: np.ndarray) -> np.ndarray:
-    return sigmoid(mat @ weights + bias)
+    return RefModel(
+        weights=best_w, bias=best_b, trained_epochs=len(history), best_epoch=best_epoch, history=history
+    )
 
 
 def train(dataset: Dataset, hyper: TrainHyper) -> RefModel:
     """Train from scratch: zero bias, seeded uniform +-1e-3 weights.
 
     Stops when stop-split accuracy has not improved by more than
-    early_stop_min_delta for early_stop_patience consecutive epochs, or at
-    max_epochs; returns the parameters from the best stop-split epoch seen
-    (the initial parameters count as a candidate).
+    early_stop_min_delta for early_stop_patience consecutive epochs, when
+    the best accuracy plus early_stop_min_delta reaches 1.0 (no epoch could
+    improve on it), or at max_epochs; returns the parameters from the best
+    stop-split epoch seen (the initial parameters count as a candidate, as
+    best_epoch 0).
     """
     p = dataset.height * dataset.width
     init_rng = make_rng(hyper.seed)
@@ -221,6 +228,7 @@ def save_model(model: RefModel, path) -> None:
         "weights": model.weights.tolist(),
         "bias": model.bias,
         "trained_epochs": model.trained_epochs,
+        "best_epoch": model.best_epoch,
         "history": [[loss, acc] for loss, acc in model.history],
     }
     Path(path).write_text(json.dumps(obj), encoding="utf-8")
@@ -243,6 +251,7 @@ def load_model(path) -> RefModel:
         weights=weights,
         bias=float(obj["bias"]),
         trained_epochs=int(obj["trained_epochs"]),
+        best_epoch=int(obj.get("best_epoch", 0)),
         history=[(float(l), float(a)) for l, a in obj["history"]],
     )
 

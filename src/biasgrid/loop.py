@@ -239,7 +239,12 @@ def _run(
     states: list[LoopState] = []
 
     def record(
-        t: int, sel: list[str], matched: list[str], mode: str | None, sal_rel: str | None
+        t: int,
+        sel: list[str],
+        matched: list[str],
+        mode: str | None,
+        sal_rel: str | None,
+        trained: RefModel | None,
     ) -> LoopState:
         val_acc, groups, test_acc = _evaluate(model, val, test)
         model_rel = None
@@ -258,6 +263,8 @@ def _run(
                 "n_selected": len(sel),
                 "n_matched": len(matched),
                 "selection_mode": mode,
+                "epochs_run": trained.trained_epochs if trained is not None else None,
+                "best_epoch": trained.best_epoch if trained is not None else None,
             }
             (iter_dir / "metrics.json").write_text(json.dumps(metrics), encoding="utf-8")
         state = LoopState(
@@ -275,7 +282,7 @@ def _run(
         states.append(state)
         return state
 
-    record(0, [], [], None, None)
+    record(0, [], [], None, None, model)
     best_acc = states[0].val_accuracy
     flat_iters = 0
 
@@ -293,6 +300,7 @@ def _run(
         if out_path is not None:
             save_matchset(ms, out_path / f"iter-{t}" / "matchset.json")
 
+        trained = None
         if ms.matched_pool_ids:
             new_records = [
                 pool.record_by_id(pid) for pid in ms.matched_pool_ids if pid not in working_ids
@@ -306,9 +314,9 @@ def _run(
                 learning_rate=sched[t - 1],
                 seed=derive_seed(cfg.seed, "train", str(t)),
             )
-            model = fine_tune(model, working, ft_hyper)
+            model = trained = fine_tune(model, working, ft_hyper)
 
-        state = record(t, ms.sampled_val_ids, ms.matched_pool_ids, ms.mode, sal_rel)
+        state = record(t, ms.sampled_val_ids, ms.matched_pool_ids, ms.mode, sal_rel, trained)
 
         if state.val_accuracy - best_acc < cfg.convergence_min_delta:
             flat_iters += 1

@@ -5,12 +5,17 @@ test: the SVD is a hand-rolled one-sided Jacobi instead of LAPACK, the grid
 assignment is literal python loops instead of vectorized argmin, neighbor
 search sorts (distance, index) pairs, gradients come from central finite
 differences of the loss value, and the grid render paints pixel by pixel in
-python floats.
+python floats. The one exception is reference_optimize: it is the training
+loop as it was before the ceiling exit, kept unchanged so that the exit can
+be shown to leave every kept parameter byte-equal.
 """
 
 import math
 
 import numpy as np
+
+from biasgrid.classifier import RefModel, accuracy_from_scores, loss_gradient, loss_value, sigmoid
+from biasgrid.seeding import make_rng
 
 
 def sign_normalize(columns: np.ndarray) -> np.ndarray:
@@ -179,3 +184,59 @@ def per_pixel_render(cells, images, failures, cell_px, alpha, anchors, empty_rgb
                         value = round((1.0 - alpha) * gray + alpha * tint[ch])
                         out[r * cell_px + y, c * cell_px + x, ch] = min(max(value, 0), 255)
     return out
+
+
+def reference_optimize(w0, b0, dataset, hyper):
+    """The mini-batch training loop as it ran before the ceiling exit.
+
+    A verbatim copy of `classifier._optimize` without the exit that ends
+    the loop once no epoch can beat the best stop-split accuracy, so it
+    always runs until patience or max_epochs. It also records the epoch it
+    keeps (0 = the starting parameters). Returns (model, best stop-split
+    accuracy).
+    """
+    hyper.validate()
+    labels = dataset.labels()
+    mat = dataset.matrix()
+    n = mat.shape[0]
+
+    rng = make_rng(hyper.seed)
+    perm = rng.permutation(n)
+    n_stop = min(n - 1, max(1, int(round(hyper.val_fraction * n))))
+    stop_idx, fit_idx = perm[:n_stop], perm[n_stop:]
+    stop_x, stop_y = mat[stop_idx], labels[stop_idx]
+    fit_x, fit_y = mat[fit_idx], labels[fit_idx]
+    n_fit = fit_x.shape[0]
+
+    w = w0.astype(np.float64).copy()
+    b = float(b0)
+    best_acc = accuracy_from_scores(sigmoid(stop_x @ w + b), stop_y)
+    best_w, best_b, best_epoch = w.copy(), b, 0
+    history = []
+    bad_epochs = 0
+
+    for epoch in range(1, hyper.max_epochs + 1):
+        if hyper.full_batch:
+            batches = [np.arange(n_fit)]
+        else:
+            order = rng.permutation(n_fit)
+            batches = [order[i : i + hyper.batch_size] for i in range(0, n_fit, hyper.batch_size)]
+        for batch in batches:
+            grad_w, grad_b = loss_gradient(w, b, fit_x[batch], fit_y[batch], hyper.l2)
+            w -= hyper.learning_rate * grad_w
+            b -= hyper.learning_rate * grad_b
+        train_loss = loss_value(w, b, fit_x, fit_y, hyper.l2)
+        stop_acc = accuracy_from_scores(sigmoid(stop_x @ w + b), stop_y)
+        history.append((train_loss, stop_acc))
+        if stop_acc > best_acc + hyper.early_stop_min_delta:
+            best_acc = stop_acc
+            best_w, best_b, best_epoch = w.copy(), b, epoch
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+            if bad_epochs >= hyper.early_stop_patience:
+                break
+    model = RefModel(
+        weights=best_w, bias=best_b, trained_epochs=len(history), best_epoch=best_epoch, history=history
+    )
+    return model, best_acc

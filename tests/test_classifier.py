@@ -9,6 +9,7 @@ from biasgrid.classifier import (
     RefModel,
     SubprocessClassifier,
     TrainHyper,
+    _optimize,
     accuracy,
     accuracy_from_scores,
     fine_tune,
@@ -25,7 +26,7 @@ from biasgrid.classifier import (
 from biasgrid.dataset import Dataset, ImageRecord
 from biasgrid.errors import DataError
 from biasgrid.seeding import make_rng
-from oracles import central_diff_grad
+from oracles import central_diff_grad, reference_optimize
 
 
 def toy_dataset(n=24, side=8, gap=0.5, sigma=0.02, seed=0):
@@ -125,6 +126,67 @@ def test_early_stopping_cannot_exceed_max_epochs():
     assert len(model.history) == model.trained_epochs
 
 
+SEPARABLE = TrainHyper(learning_rate=0.5, max_epochs=120, batch_size=8, l2=0.0, seed=2, val_fraction=0.25)
+
+
+def init_weights(ds, seed):
+    return make_rng(seed).uniform(-1e-3, 1e-3, size=ds.height * ds.width)
+
+
+def ceiling_case(name):
+    """(w0, b0, dataset, hyper) for one run compared with the pre-exit loop."""
+    ds = toy_dataset()
+    if name == "separable":
+        return init_weights(ds, 2), 0.0, ds, SEPARABLE
+    if name == "saturated_fine_tune":
+        model = train(ds, SEPARABLE)
+        assert accuracy(model, ds) == 1.0
+        return model.weights, model.bias, ds, TrainHyper(learning_rate=0.01, max_epochs=60, seed=7)
+    if name == "min_delta":
+        # best stop accuracy 0.8 on a 10-image stop split: 0.8 + 0.2 == 1.0
+        noisy = toy_dataset(n=40, gap=0.15, sigma=0.1, seed=3)
+        hyper = TrainHyper(
+            learning_rate=0.05, max_epochs=80, batch_size=8, early_stop_min_delta=0.2, seed=4, val_fraction=0.25
+        )
+        return init_weights(noisy, 4), 0.0, noisy, hyper
+    if name == "full_batch":
+        hyper = TrainHyper(learning_rate=0.5, max_epochs=60, l2=0.0, full_batch=True, seed=4, val_fraction=0.25)
+        return init_weights(ds, 4), 0.0, ds, hyper
+    if name == "never_saturates":
+        # labels carry no signal: stop accuracy stays below 1.0
+        noise = toy_dataset(n=40, gap=0.0, sigma=0.1, seed=3)
+        hyper = TrainHyper(learning_rate=0.3, max_epochs=80, batch_size=8, seed=5, val_fraction=0.25)
+        return init_weights(noise, 5), 0.0, noise, hyper
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize(
+    "name", ["separable", "saturated_fine_tune", "min_delta", "full_batch", "never_saturates"]
+)
+def test_ceiling_exit_keeps_the_pre_exit_result(name):
+    w0, b0, ds, hyper = ceiling_case(name)
+    got = _optimize(w0, b0, ds, hyper)
+    ref, ref_best_acc = reference_optimize(w0, b0, ds, hyper)
+    assert got.weights.tobytes() == ref.weights.tobytes()
+    assert got.bias == ref.bias
+    assert got.best_epoch == ref.best_epoch
+    assert len(got.history) == got.trained_epochs
+    assert got.history == ref.history[: got.trained_epochs]
+    # the loop ends right after the epoch that lifted the best accuracy to
+    # the ceiling; a run that never reaches it is unchanged
+    saturated = ref_best_acc + hyper.early_stop_min_delta >= 1.0
+    assert got.trained_epochs == (ref.best_epoch if saturated else ref.trained_epochs)
+    assert saturated == (name != "never_saturates")
+    if saturated:
+        assert got.trained_epochs < ref.trained_epochs
+    if name == "saturated_fine_tune":
+        assert got.trained_epochs == 0 and got.history == []
+    if name == "min_delta":
+        assert ref_best_acc < 1.0
+    if name == "never_saturates":
+        assert got.history == ref.history
+
+
 def test_train_rejects_single_label_data():
     recs = [ImageRecord(f"s{i}", np.full((4, 4), 0.5), 1) for i in range(6)]
     with pytest.raises(DataError, match="both labels"):
@@ -179,6 +241,7 @@ def test_model_round_trip_is_exact(tmp_path):
         weights=make_rng(0).normal(size=5),
         bias=-0.123456789,
         trained_epochs=7,
+        best_epoch=2,
         history=[(0.5, 0.75), (0.4, 0.875)],
     )
     save_model(model, tmp_path / "m.json")
@@ -186,7 +249,16 @@ def test_model_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.weights, model.weights)
     assert back.bias == model.bias
     assert back.trained_epochs == 7
+    assert back.best_epoch == 2
     assert back.history == model.history
+
+
+def test_load_model_defaults_best_epoch_for_older_files(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"format": "ref-model", "version": 1, "dim": 2, "weights": [1.0, 2.0], "bias": 0.5, "trained_epochs": 3, "history": []}')
+    model = load_model(path)
+    assert model.best_epoch == 0
+    assert model.trained_epochs == 3
 
 
 def test_load_model_rejects_bad_files(tmp_path):

@@ -5,16 +5,18 @@ import json
 import numpy as np
 import pytest
 
-from biasgrid.classifier import TrainHyper
+from biasgrid.classifier import TrainHyper, load_model
 from biasgrid.dataset import Dataset
 from biasgrid.errors import DataError
 from biasgrid.loop import (
     LoopConfig,
+    _run,
     default_lr_schedule,
     group_accuracy,
     run_loop,
     run_random_baseline,
 )
+from biasgrid.sampler import MatchSet
 from biasgrid.synth import CorpusSpec, generate_corpus
 
 SMALL_SPEC = CorpusSpec(
@@ -105,6 +107,24 @@ def test_metrics_record_schedule_and_counts(small_corpus, tmp_path):
     assert m1["n_selected"] == 4
     assert m1["n_matched"] <= 4 * 3
     assert m1["selection_mode"] == "failure"
+    for it_dir, metrics in (("iter-0", m0), ("iter-1", m1)):
+        model = load_model(tmp_path / it_dir / "model.json")
+        assert metrics["epochs_run"] == model.trained_epochs == len(model.history)
+        assert metrics["best_epoch"] == model.best_epoch
+        assert 0 <= model.best_epoch <= model.trained_epochs
+
+
+def test_metrics_record_null_epochs_when_nothing_was_trained(small_corpus, tmp_path):
+    train_ds, val_ds, pool_ds = small_corpus
+
+    def select_nothing(t, failures, val_coords, pool_coords):
+        return MatchSet(sampled_val_ids=[], matched_pool_ids=[], matches=[], mode="none", seed=t)
+
+    _run(train_ds, val_ds, pool_ds, None, small_cfg(max_iterations=1), tmp_path, select_nothing)
+    m0 = json.loads((tmp_path / "iter-0" / "metrics.json").read_text())
+    m1 = json.loads((tmp_path / "iter-1" / "metrics.json").read_text())
+    assert isinstance(m0["epochs_run"], int) and isinstance(m0["best_epoch"], int)
+    assert m1["epochs_run"] is None and m1["best_epoch"] is None
 
 
 def test_rerun_into_the_same_directory_drops_stale_iterations(small_corpus, tmp_path):
