@@ -1,5 +1,13 @@
 """Image records, datasets, and JSONL manifest I/O.
 
+A Dataset stores its images as one N x P float64 matrix, P = H * W, each
+image flattened row-major into one row. The matrix is C-contiguous and
+read-only, and `matrix()` returns it without copying; labels are a stored
+read-only float64 array beside it. Each record's `pixels` is a read-only
+H x W view of its row, so writing to `pixels` (or to the matrix) raises
+ValueError: a dataset never changes once built. `appended` returns a new
+dataset with more records and leaves the one it was called on as it was.
+
 A manifest is one JSON object per line with keys "id" (string), "path"
 (image file relative to the manifest's directory), "label" (0 or 1), and
 optional "group" (string). The group tag exists only so evaluations can
@@ -9,7 +17,7 @@ report per-subgroup accuracy; no algorithm in this package reads it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,42 +31,115 @@ class ImageRecord:
     """One grayscale image with a binary label (0=open/awake, 1=closed/drowsy)."""
 
     id: str
-    pixels: np.ndarray  # H x W, float in [0, 1]
+    pixels: np.ndarray  # H x W, float in [0, 1]; a read-only row view inside a Dataset
     label: int
     group: str | None = None
 
 
-@dataclass
-class Dataset:
-    """Ordered, dimension-consistent collection of image records."""
+def _bad_label(label) -> bool:
+    return isinstance(label, (bool, np.bool_)) or label not in (0, 1)
 
-    records: list[ImageRecord]
-    height: int
-    width: int
-    _by_id: dict[str, ImageRecord] = field(default_factory=dict, repr=False)
+
+def _check_rows(ids: list[str], labels: list, rows: np.ndarray, taken) -> None:
+    """Raise the DataError of the first bad record, in record order.
+
+    Within a record the checks run in this order: its id repeats one in
+    `taken` or an earlier record's; its label is not 0 or 1 (bools are
+    refused); its row of `rows` holds a non-finite value; or a value
+    outside [0, 1]. The pixel checks are two reductions over all rows.
+    """
+    lo, hi = rows.min(axis=1), rows.max(axis=1)
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    bad_pixels = (~finite | (lo < 0.0) | (hi > 1.0)).tolist()  # NaN compares False
+    seen: set[str] = set()
+    for i, (rec_id, label) in enumerate(zip(ids, labels)):
+        if rec_id in taken or rec_id in seen:
+            raise DataError(f"duplicate id '{rec_id}'")
+        if _bad_label(label):
+            raise DataError(f"id '{rec_id}': label must be 0 or 1, got {label!r}")
+        if bad_pixels[i]:
+            if not finite[i]:
+                raise DataError(f"id '{rec_id}': non-finite pixel value")
+            raise DataError(f"id '{rec_id}': pixel value outside [0, 1]")
+        seen.add(rec_id)
+
+
+def _stack(records: list[ImageRecord], height: int, width: int, taken) -> np.ndarray:
+    """Copy the records' pixels into a new len(records) x (height * width)
+    matrix, raising the DataError of the first bad record: one whose image
+    is not height x width, or one that _check_rows refuses."""
+    ids = [rec.id for rec in records]
+    labels = [rec.label for rec in records]
+    mat = np.empty((len(records), height * width))
+    rows = mat.reshape(len(records), height, width)
+    for i, rec in enumerate(records):
+        if rec.pixels.shape != (height, width):
+            _check_rows(ids[:i], labels[:i], mat[:i], taken)
+            raise DataError(
+                f"dimension mismatch for id '{rec.id}': "
+                f"{rec.pixels.shape[0]}x{rec.pixels.shape[1]} vs expected {height}x{width}"
+            )
+        rows[i] = rec.pixels
+    _check_rows(ids, labels, mat, taken)
+    return mat
+
+
+class Dataset:
+    """Ordered, dimension-consistent image records backed by one N x P matrix.
+
+    Build one with from_records, from_matrix or appended; the constructor
+    itself trusts its arguments and checks nothing.
+    """
+
+    def __init__(self, matrix: np.ndarray, height: int, width: int,
+                 ids: list[str], labels: list[int], groups: list[str | None]):
+        matrix.flags.writeable = False
+        self._matrix = matrix
+        self._labels = np.array(labels, dtype=np.float64)
+        self._labels.flags.writeable = False
+        self.height = height
+        self.width = width
+        views = matrix.reshape(len(ids), height, width)
+        self.records = [
+            ImageRecord(id=rec_id, pixels=views[i], label=int(label), group=group)
+            for i, (rec_id, label, group) in enumerate(zip(ids, labels, groups))
+        ]
+        self._by_id = {rec.id: rec for rec in self.records}
+
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray, height: int, width: int,
+                    ids: list[str], labels: list, groups: list[str | None]) -> "Dataset":
+        """Adopt a filled C-contiguous float64 len(ids) x (height * width)
+        matrix as the dataset's storage, after checking every record; the
+        matrix is marked read-only."""
+        if not ids:
+            raise DataError("dataset must be non-empty")
+        if matrix.dtype != np.float64 or not matrix.flags.c_contiguous or matrix.shape != (len(ids), height * width):
+            raise DataError(f"expected a C-contiguous float64 {len(ids)}x{height * width} matrix")
+        _check_rows(ids, labels, matrix, {})
+        return cls(matrix, height, width, ids, labels, groups)
 
     @classmethod
     def from_records(cls, records: list[ImageRecord]) -> "Dataset":
+        """Stack the records' pixels once into a new dataset; the first bad
+        record, in order, raises a DataError."""
         if not records:
             raise DataError("dataset must be non-empty")
         h, w = records[0].pixels.shape
-        by_id: dict[str, ImageRecord] = {}
-        for rec in records:
-            if rec.pixels.shape != (h, w):
-                raise DataError(
-                    f"dimension mismatch for id '{rec.id}': "
-                    f"{rec.pixels.shape[0]}x{rec.pixels.shape[1]} vs expected {h}x{w}"
-                )
-            if rec.id in by_id:
-                raise DataError(f"duplicate id '{rec.id}'")
-            if rec.label not in (0, 1):
-                raise DataError(f"id '{rec.id}': label must be 0 or 1, got {rec.label!r}")
-            if not np.all(np.isfinite(rec.pixels)):
-                raise DataError(f"id '{rec.id}': non-finite pixel value")
-            if rec.pixels.min() < 0.0 or rec.pixels.max() > 1.0:
-                raise DataError(f"id '{rec.id}': pixel value outside [0, 1]")
-            by_id[rec.id] = rec
-        return cls(records=list(records), height=h, width=w, _by_id=by_id)
+        mat = _stack(records, h, w, {})
+        return cls(mat, h, w, [rec.id for rec in records], [rec.label for rec in records],
+                   [rec.group for rec in records])
+
+    def appended(self, records: list[ImageRecord]) -> "Dataset":
+        """A new dataset: this one's records, then `records`.
+
+        Only the new records are checked, and the first bad one raises what
+        from_records on the whole list would. This dataset is unchanged.
+        """
+        new = _stack(records, self.height, self.width, self._by_id)
+        whole = self.records + list(records)
+        return Dataset(np.concatenate([self._matrix, new]), self.height, self.width,
+                       [rec.id for rec in whole], [rec.label for rec in whole], [rec.group for rec in whole])
 
     def __len__(self) -> int:
         return len(self.records)
@@ -73,30 +154,37 @@ class Dataset:
             raise DataError(f"no record with id '{rec_id}'") from None
 
     def matrix(self) -> np.ndarray:
-        """Images reshaped to row vectors and stacked: N x P, row-major flattening."""
-        return np.stack([rec.pixels.ravel() for rec in self.records], dtype=np.float64)
+        """The stored N x P image matrix (row-major flattening), read-only."""
+        return self._matrix
 
     def labels(self) -> np.ndarray:
-        return np.array([rec.label for rec in self.records], dtype=np.float64)
+        """The stored read-only float64 label array, aligned with records."""
+        return self._labels
 
     def groups(self) -> list[str | None]:
         return [rec.group for rec in self.records]
 
 
 def load_manifest(path) -> Dataset:
-    """Load a JSONL manifest into a Dataset, preserving manifest line order."""
+    """Load a JSONL manifest into a Dataset, preserving manifest line order.
+
+    Each image is read straight into its row of one preallocated matrix:
+    every non-blank line is one record or an error.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
     base = path.parent
-    records: list[ImageRecord] = []
+    lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if not lines:
+        raise DataError(f"{path}: manifest has no records")
+    ids: list[str] = []
+    labels: list[int] = []
+    groups: list[str | None] = []
     seen: set[str] = set()
-    dims: tuple[int, int] | None = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in lines:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -114,7 +202,7 @@ def load_manifest(path) -> Dataset:
             raise DataError(f"{path}:{lineno}: malformed line: id must be a string")
         if not isinstance(img_path, str):
             raise DataError(f"{path}:{lineno}: malformed line: path must be a string")
-        if label not in (0, 1) or isinstance(label, bool):
+        if _bad_label(label):
             raise DataError(f"{path}:{lineno}: malformed line: label must be 0 or 1")
         if group is not None and not isinstance(group, str):
             raise DataError(f"{path}:{lineno}: malformed line: group must be a string")
@@ -122,17 +210,20 @@ def load_manifest(path) -> Dataset:
             raise DataError(f"{path}:{lineno}: duplicate id '{rec_id}'")
         seen.add(rec_id)
         pixels = read_pgm(base / img_path)
-        if dims is None:
-            dims = pixels.shape
-        elif pixels.shape != dims:
+        if not ids:
+            h, w = pixels.shape
+            mat = np.empty((len(lines), h * w))
+            rows = mat.reshape(len(lines), h, w)
+        elif pixels.shape != (h, w):
             raise DataError(
                 f"dimension mismatch for id '{rec_id}': "
-                f"{pixels.shape[0]}x{pixels.shape[1]} vs expected {dims[0]}x{dims[1]}"
+                f"{pixels.shape[0]}x{pixels.shape[1]} vs expected {h}x{w}"
             )
-        records.append(ImageRecord(id=rec_id, pixels=pixels, label=int(label), group=group))
-    if not records:
-        raise DataError(f"{path}: manifest has no records")
-    return Dataset.from_records(records)
+        rows[len(ids)] = pixels
+        ids.append(rec_id)
+        labels.append(int(label))
+        groups.append(group)
+    return Dataset.from_matrix(mat, h, w, ids, labels, groups)
 
 
 def save_dataset(dataset: Dataset, manifest_path, image_dir: str | None = None) -> None:

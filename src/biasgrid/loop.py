@@ -306,8 +306,8 @@ def _run(
                 pool.record_by_id(pid) for pid in ms.matched_pool_ids if pid not in working_ids
             ]
             if new_records:
-                working = Dataset.from_records(list(working.records) + new_records)
-                working_ids = set(working.ids())
+                working = working.appended(new_records)
+                working_ids.update(rec.id for rec in new_records)
                 _assert_disjoint(working_ids, val, test)
             ft_hyper = hyper_with(
                 cfg.hyper,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, ImageRecord
+from .dataset import Dataset
 from .errors import DataError
 from .seeding import derive_seed, make_rng
 
@@ -143,7 +143,8 @@ def render_face(params: FaceParams, height: int, width: int, noise_sigma: float)
     return np.clip(img, 0.0, 1.0)
 
 
-def _record(spec: CorpusSpec, split: str, index: int) -> ImageRecord:
+def _face(spec: CorpusSpec, split: str, index: int) -> tuple[np.ndarray, int, str]:
+    """(pixels, label, group) of record `index` of a split."""
     rec_seed = derive_seed(spec.master_seed, "corpus", split, str(index))
     rng = make_rng(rec_seed)
     if split == "train":
@@ -161,17 +162,25 @@ def _record(spec: CorpusSpec, split: str, index: int) -> ImageRecord:
         jitter_seed=derive_seed(spec.master_seed, "corpus", split, str(index), "noise"),
     )
     pixels = render_face(params, spec.height, spec.width, spec.noise_sigma)
-    return ImageRecord(
-        id=f"{split}-{index:05d}",
-        pixels=pixels,
-        label=label,
-        group="dark" if complexion < 0.5 else "light",
-    )
+    return pixels, label, "dark" if complexion < 0.5 else "light"
 
 
 def generate_split(spec: CorpusSpec, split: str, n: int) -> Dataset:
-    """Generate one named split; record i depends only on (master_seed, split, i)."""
-    return Dataset.from_records([_record(spec, split, i) for i in range(n)])
+    """Generate one named split; record i depends only on (master_seed, split, i).
+
+    Each image is rendered straight into its row of the dataset's matrix.
+    """
+    h, w = spec.height, spec.width
+    ids = [f"{split}-{i:05d}" for i in range(n)]
+    mat = np.empty((len(ids), h * w))
+    rows = mat.reshape(len(ids), h, w)
+    labels: list[int] = []
+    groups: list[str] = []
+    for i in range(len(ids)):
+        rows[i], label, group = _face(spec, split, i)
+        labels.append(label)
+        groups.append(group)
+    return Dataset.from_matrix(mat, h, w, ids, labels, groups)
 
 
 def generate_corpus(spec: CorpusSpec) -> tuple[Dataset, Dataset, Dataset]:

@@ -5,9 +5,12 @@ test: the SVD is a hand-rolled one-sided Jacobi instead of LAPACK, the grid
 assignment is literal python loops instead of vectorized argmin, neighbor
 search sorts (distance, index) pairs, gradients come from central finite
 differences of the loss value, and the grid render paints pixel by pixel in
-python floats. The one exception is reference_optimize: it is the training
+python floats. There are two exceptions. reference_optimize is the training
 loop as it was before the ceiling exit, kept unchanged so that the exit can
-be shown to leave every kept parameter byte-equal.
+be shown to leave every kept parameter byte-equal. reference_from_records is
+the per-record validation loop Dataset.from_records ran before a dataset
+became one matrix, kept unchanged so that the whole-matrix checks can be
+shown to raise the same error for the same first bad record.
 """
 
 import math
@@ -15,6 +18,7 @@ import math
 import numpy as np
 
 from biasgrid.classifier import RefModel, accuracy_from_scores, loss_gradient, loss_value, sigmoid
+from biasgrid.errors import DataError
 from biasgrid.seeding import make_rng
 
 
@@ -240,3 +244,27 @@ def reference_optimize(w0, b0, dataset, hyper):
         weights=best_w, bias=best_b, trained_epochs=len(history), best_epoch=best_epoch, history=history
     )
     return model, best_acc
+
+
+def reference_from_records(records):
+    """Check records one at a time, in order; raise the first bad one's
+    DataError. Returns None when every record passes."""
+    if not records:
+        raise DataError("dataset must be non-empty")
+    h, w = records[0].pixels.shape
+    by_id = {}
+    for rec in records:
+        if rec.pixels.shape != (h, w):
+            raise DataError(
+                f"dimension mismatch for id '{rec.id}': "
+                f"{rec.pixels.shape[0]}x{rec.pixels.shape[1]} vs expected {h}x{w}"
+            )
+        if rec.id in by_id:
+            raise DataError(f"duplicate id '{rec.id}'")
+        if rec.label not in (0, 1):
+            raise DataError(f"id '{rec.id}': label must be 0 or 1, got {rec.label!r}")
+        if not np.all(np.isfinite(rec.pixels)):
+            raise DataError(f"id '{rec.id}': non-finite pixel value")
+        if rec.pixels.min() < 0.0 or rec.pixels.max() > 1.0:
+            raise DataError(f"id '{rec.id}': pixel value outside [0, 1]")
+        by_id[rec.id] = rec

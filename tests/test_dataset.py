@@ -1,12 +1,16 @@
 """Dataset construction, alignment guarantees, and manifest I/O."""
 
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from biasgrid.dataset import Dataset, ImageRecord, load_manifest, save_dataset
 from biasgrid.errors import DataError
+from biasgrid.synth import CorpusSpec, generate_split
+from oracles import reference_from_records
 
 
 def make_rec(rec_id, value=0.5, label=0, shape=(4, 4), group=None):
@@ -156,3 +160,163 @@ def test_manifest_blank_lines_are_skipped(tmp_path):
     text = (tmp_path / "m.jsonl").read_text()
     (tmp_path / "m.jsonl").write_text("\n" + text + "\n\n")
     assert load_manifest(tmp_path / "m.jsonl").ids() == ["a"]
+
+
+@pytest.mark.parametrize("label", [True, False, np.True_])
+def test_from_records_rejects_boolean_labels(label):
+    with pytest.raises(DataError, match="label must be 0 or 1, got"):
+        Dataset.from_records([make_rec("a", label=label)])
+
+
+@pytest.mark.parametrize("label", [np.int64(1), 1.0, np.int64(0), 0.0])
+def test_numeric_labels_are_stored_as_int_and_round_trip(tmp_path, label):
+    expected = int(label)
+    ds = Dataset.from_records(
+        [ImageRecord("a", eight_bit((4, 4), 6), label), ImageRecord("b", eight_bit((4, 4), 7), 1 - expected)]
+    )
+    assert type(ds.records[0].label) is int and ds.records[0].label == expected
+    save_dataset(ds, tmp_path / "m.jsonl")
+    back = load_manifest(tmp_path / "m.jsonl")
+    assert [rec.label for rec in back.records] == [expected, 1 - expected]
+    assert np.array_equal(back.labels(), ds.labels())
+
+
+def clean_records(n=8, shape=(4, 5)):
+    return [ImageRecord(f"r{i:02d}", eight_bit(shape, 100 + i), i % 2, "dark" if i % 3 else None)
+            for i in range(n)]
+
+
+def plant(rec, prev, defect):
+    """rec with one defect; prev is the record before it (for a duplicate id)."""
+    if defect == "dimension":
+        return replace(rec, pixels=np.full((5, 4), 0.5))
+    if defect == "duplicate":
+        return replace(rec, id=prev.id)
+    if defect == "label":
+        return replace(rec, label=2)
+    value = {"nan": np.nan, "inf": np.inf, "above_one": 1.0 + 1e-12}[defect]
+    pixels = rec.pixels.copy()
+    pixels.flat[7] = value
+    return replace(rec, pixels=pixels)
+
+
+# (position, defect) lists; a record with several defects gets them in the
+# order listed, and "dimension" comes first because it replaces the pixels.
+DEFECT_CASES = {
+    "dimension": [(3, "dimension")],
+    "duplicate": [(5, "duplicate")],
+    "label": [(1, "label")],
+    "nan": [(7, "nan")],
+    "inf": [(4, "inf")],
+    "above_one": [(2, "above_one")],
+    "label_before_nan": [(2, "label"), (5, "nan")],
+    "nan_before_label": [(2, "nan"), (5, "label")],
+    "above_one_before_duplicate": [(1, "above_one"), (6, "duplicate")],
+    "duplicate_before_dimension": [(4, "duplicate"), (6, "dimension")],
+    "inf_before_dimension": [(3, "inf"), (4, "dimension")],
+    "dimension_before_label": [(2, "dimension"), (3, "label")],
+    "same_record_dimension_label": [(3, "dimension"), (3, "label")],
+    "same_record_duplicate_label": [(6, "duplicate"), (6, "label")],
+    "same_record_label_nan": [(4, "label"), (4, "nan")],
+    "same_record_nan_above_one": [(5, "above_one"), (5, "nan")],
+    "same_record_inf_above_one": [(7, "above_one"), (7, "inf")],
+    "three_records": [(6, "label"), (3, "above_one"), (7, "duplicate")],
+}
+
+
+def planted(case):
+    records = clean_records()
+    for pos, defect in DEFECT_CASES[case]:
+        records[pos] = plant(records[pos], records[pos - 1], defect)
+    return records
+
+
+def oracle_message(records):
+    with pytest.raises(DataError) as info:
+        reference_from_records(records)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("case", sorted(DEFECT_CASES))
+def test_from_records_raises_the_oracles_first_error(case):
+    records = planted(case)
+    with pytest.raises(DataError) as info:
+        Dataset.from_records(records)
+    assert str(info.value) == oracle_message(records)
+
+
+@pytest.mark.parametrize("case", sorted(DEFECT_CASES))
+def test_appended_raises_what_from_records_of_the_whole_list_raises(case):
+    records = planted(case)
+    first_bad = min(pos for pos, _ in DEFECT_CASES[case])
+    expected = oracle_message(records)
+    for split in sorted({1, first_bad}):
+        base = Dataset.from_records(records[:split])
+        before = base.matrix().tobytes()
+        with pytest.raises(DataError) as info:
+            base.appended(records[split:])
+        assert str(info.value) == expected
+        assert len(base) == split and base.matrix().tobytes() == before
+
+
+def test_matrix_is_one_stored_read_only_array_and_records_are_its_rows():
+    ds = Dataset.from_records(clean_records())
+    mat = ds.matrix()
+    assert ds.matrix() is mat
+    assert mat.dtype == np.float64 and mat.flags.c_contiguous and not mat.flags.writeable
+    assert ds.labels() is ds.labels() and not ds.labels().flags.writeable
+    for i, rec in enumerate(ds.records):
+        assert np.shares_memory(rec.pixels, mat) and not rec.pixels.flags.writeable
+        assert np.array_equal(rec.pixels.ravel(), mat[i])
+    with pytest.raises(ValueError):
+        ds.records[0].pixels[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        mat[0, 0] = 0.0
+
+
+def test_appended_leaves_the_receiver_unchanged():
+    records = clean_records()
+    base = Dataset.from_records(records[:5])
+    mat, ids, recs = base.matrix(), base.ids(), list(base.records)
+    before = mat.tobytes()
+    grown = base.appended(records[5:])
+    assert base.matrix() is mat and mat.tobytes() == before
+    assert base.ids() == ids and base.records == recs and len(base) == 5
+    with pytest.raises(DataError, match="no record with id 'r07'"):
+        base.record_by_id("r07")
+    whole = Dataset.from_records(grown.records)
+    assert grown.matrix().tobytes() == whole.matrix().tobytes()
+    assert grown.ids() == whole.ids() and grown.groups() == whole.groups()
+    assert np.array_equal(grown.labels(), whole.labels())
+    assert np.shares_memory(grown.record_by_id("r07").pixels, grown.matrix())
+
+
+def test_generated_and_loaded_matrices_equal_from_records_of_their_records(tmp_path):
+    generated = generate_split(CorpusSpec(master_seed=3, height=16, width=20), "val", 12)
+    save_dataset(generated, tmp_path / "m.jsonl")
+    loaded = load_manifest(tmp_path / "m.jsonl")
+    for ds in (generated, loaded):
+        ref = Dataset.from_records(ds.records)
+        assert ds.matrix().tobytes() == ref.matrix().tobytes()
+        assert ds.ids() == ref.ids() and ds.groups() == ref.groups()
+        assert ds.labels().tobytes() == ref.labels().tobytes()
+        assert not ds.matrix().flags.writeable
+
+
+def traced_peak(build):
+    tracemalloc.start()
+    try:
+        ds = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / ds.matrix().nbytes
+
+
+def test_building_a_dataset_peaks_near_its_matrix(tmp_path):
+    # Stacking one array per image into the matrix peaks near 2x its bytes.
+    spec = CorpusSpec(master_seed=0, height=64, width=64)
+    save_dataset(generate_split(spec, "val", 200), tmp_path / "m.jsonl")
+    load_manifest(tmp_path / "m.jsonl")  # warm up lazy imports outside the trace
+    assert traced_peak(lambda: generate_split(spec, "val", 200)) <= 1.5
+    assert traced_peak(lambda: load_manifest(tmp_path / "m.jsonl")) <= 1.5
