@@ -9,12 +9,10 @@ space, and iteratively fine-tuning the classifier.
 
 from .classifier import (
     RefModel,
-    SubprocessClassifier,
     TrainHyper,
     accuracy,
     fine_tune,
     load_model,
-    predict,
     predict_dataset,
     save_model,
     sigmoid,
@@ -22,7 +20,7 @@ from .classifier import (
 )
 from .dataset import Dataset, ImageRecord, load_manifest, save_dataset
 from .errors import BiasgridError, ConfigError, DataError, NumericalError
-from .grid import GridLayout, default_dims, load_grid, make_grid, save_grid
+from .grid import GridLayout, default_dims, make_grid
 from .loop import LoopConfig, LoopState, default_lr_schedule, run_loop, run_random_baseline
 from .pca import PcaBasis, fit, load_basis, mean_center, project, save_basis
 from .saliency import (
@@ -57,7 +55,6 @@ __all__ = [
     "RefModel",
     "SaliencyImage",
     "SampleWeights",
-    "SubprocessClassifier",
     "TrainHyper",
     "accuracy",
     "colormap",
@@ -69,7 +66,6 @@ __all__ = [
     "fit",
     "generate_corpus",
     "load_basis",
-    "load_grid",
     "load_manifest",
     "load_model",
     "make_grid",
@@ -77,7 +73,6 @@ __all__ = [
     "make_weights",
     "match_pool",
     "mean_center",
-    "predict",
     "predict_dataset",
     "project",
     "render",
@@ -87,7 +82,6 @@ __all__ = [
     "sample",
     "save_basis",
     "save_dataset",
-    "save_grid",
     "save_model",
     "save_saliency",
     "sigmoid",

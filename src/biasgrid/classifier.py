@@ -9,24 +9,17 @@ the training data (the bias-measurement validation set is never used for
 stopping). A training call also ends as soon as the best stop-split
 accuracy plus early_stop_min_delta reaches 1.0, because no later epoch
 could then be kept.
-
-External classifiers plug in over a subprocess protocol: the child is
-invoked with a manifest path and prints one JSON object per line,
-{"id": ..., "score": ...}; see SubprocessClassifier.
 """
 
 from __future__ import annotations
 
 import json
-import subprocess
-import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, save_dataset
+from .dataset import Dataset
 from .errors import DataError
 from .seeding import make_rng
 
@@ -88,16 +81,6 @@ def sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def predict(model: RefModel, image) -> float:
-    """Sigmoid score for one image (any array with the model's pixel count)."""
-    x = np.asarray(image, dtype=np.float64).ravel()
-    if x.shape[0] != model.weights.shape[0]:
-        raise DataError(
-            f"dimension mismatch: image has {x.shape[0]} pixels, model expects {model.weights.shape[0]}"
-        )
-    return float(sigmoid(x @ model.weights + model.bias))
 
 
 def predict_matrix(model: RefModel, mat: np.ndarray) -> np.ndarray:
@@ -254,62 +237,3 @@ def load_model(path) -> RefModel:
         best_epoch=int(obj.get("best_epoch", 0)),
         history=[(float(l), float(a)) for l, a in obj["history"]],
     )
-
-
-class SubprocessClassifier:
-    """Score datasets with an external classifier over a manifest protocol.
-
-    The child process is run as `argv... <manifest_path>` and must write one
-    JSON object per line to stdout: {"id": "<record id>", "score": <float>}.
-    Every id in the manifest must be covered and every score must be a
-    finite value in [0, 1]. This lets a real CNN replace the reference
-    model without linking against this package.
-    """
-
-    def __init__(self, argv: Sequence[str], timeout: float = 300.0):
-        if not argv:
-            raise DataError("subprocess classifier needs a non-empty argv")
-        self.argv = [str(a) for a in argv]
-        self.timeout = timeout
-
-    def score_manifest(self, manifest_path) -> dict[str, float]:
-        proc = subprocess.run(
-            self.argv + [str(manifest_path)],
-            capture_output=True,
-            text=True,
-            timeout=self.timeout,
-        )
-        if proc.returncode != 0:
-            tail = proc.stderr.strip().splitlines()[-1] if proc.stderr.strip() else ""
-            raise DataError(f"classifier subprocess failed (exit {proc.returncode}): {tail}")
-        scores: dict[str, float] = {}
-        for lineno, line in enumerate(proc.stdout.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"classifier output line {lineno}: malformed JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict) or "id" not in obj or "score" not in obj:
-                raise DataError(f"classifier output line {lineno}: expected {{id, score}}")
-            score = float(obj["score"])
-            if not np.isfinite(score) or not 0.0 <= score <= 1.0:
-                raise DataError(f"classifier output line {lineno}: score {score} outside [0, 1]")
-            scores[str(obj["id"])] = score
-        return scores
-
-    def score_dataset(self, dataset: Dataset) -> np.ndarray:
-        """Materialize the dataset to a temp manifest, score it, align results."""
-        with tempfile.TemporaryDirectory(prefix="biasgrid-scores-") as tmp:
-            manifest = Path(tmp) / "score-request.jsonl"
-            save_dataset(dataset, manifest)
-            scores = self.score_manifest(manifest)
-        missing = [rec_id for rec_id in dataset.ids() if rec_id not in scores]
-        if missing:
-            raise DataError(f"classifier output missing {len(missing)} ids (first: '{missing[0]}')")
-        return np.array([scores[rec_id] for rec_id in dataset.ids()], dtype=np.float64)
-
-
-def hyper_with(hyper: TrainHyper, **changes) -> TrainHyper:
-    """Copy of a TrainHyper with some fields replaced."""
-    return replace(hyper, **changes)

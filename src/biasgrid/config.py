@@ -28,7 +28,7 @@ from .errors import ConfigError
 from .loop import LoopConfig
 from .synth import CorpusSpec
 
-# key -> (type tag, default). Type tags: int, float, bool, str, path,
+# key -> (type tag, default). Type tags: int, float, str, path,
 # float_list (comma separated). Defaults of None mean "absent".
 SCHEMA: dict[str, tuple[str, Any]] = {
     "seed": ("int", 0),
@@ -65,9 +65,6 @@ SCHEMA: dict[str, tuple[str, Any]] = {
     "paths.test_manifest": ("path", None),
 }
 
-_BOOL_WORDS = {"true": True, "false": False}
-
-
 def _convert(key: str, raw: str, kind: str, lineno: int, base_dir: Path):
     try:
         if kind == "int":
@@ -77,11 +74,6 @@ def _convert(key: str, raw: str, kind: str, lineno: int, base_dir: Path):
             if not math.isfinite(v):
                 raise ValueError("not finite")
             return v
-        if kind == "bool":
-            word = raw.lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError("expected true or false")
-            return _BOOL_WORDS[word]
         if kind == "str":
             return raw
         if kind == "path":
@@ -123,9 +115,9 @@ class RunConfig:
             width=self["corpus.width"],
         )
 
-    def train_hyper(self, learning_rate: float | None = None, seed: int | None = None) -> TrainHyper:
+    def train_hyper(self, seed: int | None = None) -> TrainHyper:
         return TrainHyper(
-            learning_rate=self["train.learning_rate"] if learning_rate is None else learning_rate,
+            learning_rate=self["train.learning_rate"],
             max_epochs=self["train.max_epochs"],
             batch_size=self["train.batch_size"],
             l2=self["train.l2"],

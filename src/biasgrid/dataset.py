@@ -226,14 +226,14 @@ def load_manifest(path) -> Dataset:
     return Dataset.from_matrix(mat, h, w, ids, labels, groups)
 
 
-def save_dataset(dataset: Dataset, manifest_path, image_dir: str | None = None) -> None:
+def save_dataset(dataset: Dataset, manifest_path) -> None:
     """Write a dataset as a JSONL manifest plus one PGM file per record.
 
-    Images go into `image_dir` (relative to the manifest's directory,
-    default '<manifest stem>-images'), named '<id>.pgm'.
+    Images go into '<manifest stem>-images' next to the manifest, named
+    '<id>.pgm'.
     """
     manifest_path = Path(manifest_path)
-    rel_dir = image_dir if image_dir is not None else manifest_path.stem + "-images"
+    rel_dir = manifest_path.stem + "-images"
     out_dir = manifest_path.parent / rel_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = []

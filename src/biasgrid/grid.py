@@ -10,10 +10,8 @@ reproducibility.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +25,6 @@ class GridLayout:
     cols: int
     cells: list[list[str | None]]  # rows x cols, image id or None
     cell_coords: np.ndarray  # rows x cols x 2 lattice points in projection space
-    assigned_from: np.ndarray  # N x 2 snapshot of the input coordinates
 
     def assigned_ids(self) -> list[str]:
         return [cell for row in self.cells for cell in row if cell is not None]
@@ -85,36 +82,4 @@ def make_grid(coords, rows: int, cols: int, ids: Sequence[str] | None = None) ->
             cells[r][c] = ids[pick]
             taken[pick] = True
             n_assigned += 1
-    return GridLayout(rows=rows, cols=cols, cells=cells, cell_coords=cell_coords, assigned_from=pts.copy())
-
-
-def save_grid(layout: GridLayout, path) -> None:
-    obj = {
-        "format": "grid-layout",
-        "version": 1,
-        "rows": layout.rows,
-        "cols": layout.cols,
-        "cells": layout.cells,
-        "cell_coords": layout.cell_coords.tolist(),
-        "assigned_from": layout.assigned_from.tolist(),
-    }
-    Path(path).write_text(json.dumps(obj), encoding="utf-8")
-
-
-def load_grid(path) -> GridLayout:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read grid {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not a valid grid file: {exc.msg}") from exc
-    if obj.get("format") != "grid-layout" or obj.get("version") != 1:
-        raise DataError(f"{path}: not a version-1 grid-layout file")
-    return GridLayout(
-        rows=int(obj["rows"]),
-        cols=int(obj["cols"]),
-        cells=[[cell for cell in row] for row in obj["cells"]],
-        cell_coords=np.asarray(obj["cell_coords"], dtype=np.float64),
-        assigned_from=np.asarray(obj["assigned_from"], dtype=np.float64),
-    )
+    return GridLayout(rows=rows, cols=cols, cells=cells, cell_coords=cell_coords)

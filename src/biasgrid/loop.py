@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -33,7 +33,6 @@ from .classifier import (
     TrainHyper,
     accuracy_from_scores,
     fine_tune,
-    hyper_with,
     predict_dataset,
     save_model,
     train,
@@ -49,7 +48,7 @@ from .saliency import (
     render,
     save_saliency,
 )
-from .sampler import MatchSet, make_weights, match_pool, sample, save_matchset
+from .sampler import WEIGHT_MODES, MatchSet, make_weights, match_pool, sample, save_matchset
 from .seeding import derive_seed, make_rng
 
 
@@ -112,6 +111,8 @@ class LoopConfig:
             raise DataError("convergence_min_delta must be >= 0")
         if self.convergence_patience < 1:
             raise DataError("convergence_patience must be >= 1")
+        if self.weight_mode not in WEIGHT_MODES:
+            raise DataError(f"unknown weight mode '{self.weight_mode}' (expected one of {WEIGHT_MODES})")
         if self.max_iterations > 0:
             self.resolved_schedule()
 
@@ -235,7 +236,7 @@ def _run(
     working_ids = set(working.ids())
     _assert_disjoint(working_ids, val, test)
 
-    model = train(working, hyper_with(cfg.hyper, seed=derive_seed(cfg.seed, "train", "0")))
+    model = train(working, replace(cfg.hyper, seed=derive_seed(cfg.seed, "train", "0")))
     states: list[LoopState] = []
 
     def record(
@@ -309,7 +310,7 @@ def _run(
                 working = working.appended(new_records)
                 working_ids.update(rec.id for rec in new_records)
                 _assert_disjoint(working_ids, val, test)
-            ft_hyper = hyper_with(
+            ft_hyper = replace(
                 cfg.hyper,
                 learning_rate=sched[t - 1],
                 seed=derive_seed(cfg.seed, "train", str(t)),

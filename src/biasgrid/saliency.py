@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -36,14 +35,11 @@ DEFAULT_CELL_PX = 32
 
 @dataclass
 class FailureScores:
-    """Aligned id -> score maps; scores[i] = |predictions[i] - label_i|."""
+    """Per-image scores in dataset record order: scores = |predictions - labels|."""
 
-    scores: dict[str, float]
-    predictions: dict[str, float]
-
-    def ordered(self) -> tuple[list[str], np.ndarray]:
-        ids = list(self.scores)
-        return ids, np.array([self.scores[i] for i in ids], dtype=np.float64)
+    ids: list[str]
+    predictions: np.ndarray  # (N,) float64 sigmoid scores
+    scores: np.ndarray  # (N,) float64 failure scores
 
 
 @dataclass
@@ -55,28 +51,16 @@ class SaliencyImage:
 def compute_failures(model: RefModel, dataset: Dataset) -> FailureScores:
     """Score every record: C = |sigmoid score - label|, in dataset order."""
     preds = predict_dataset(model, dataset)
-    labels = dataset.labels()
-    ids = dataset.ids()
-    scores = np.abs(preds - labels)
-    return FailureScores(
-        scores={i: float(c) for i, c in zip(ids, scores)},
-        predictions={i: float(p) for i, p in zip(ids, preds)},
-    )
+    return FailureScores(ids=dataset.ids(), predictions=preds, scores=np.abs(preds - dataset.labels()))
 
 
-def failures_from_scores(ids: Sequence[str], predictions, labels) -> FailureScores:
-    """Build FailureScores from externally computed sigmoid scores."""
-    preds = np.asarray(predictions, dtype=np.float64)
-    labs = np.asarray(labels, dtype=np.float64)
-    if not (len(ids) == preds.shape[0] == labs.shape[0]):
-        raise DataError("ids, predictions and labels must have equal length")
-    if not np.all(np.isfinite(preds)) or preds.min() < 0.0 or preds.max() > 1.0:
-        raise DataError("predictions must be finite and within [0, 1]")
-    scores = np.abs(preds - labs)
-    return FailureScores(
-        scores={i: float(c) for i, c in zip(ids, scores)},
-        predictions={i: float(p) for i, p in zip(ids, preds)},
-    )
+def _positions(grid: GridLayout, failures: FailureScores) -> dict[str, int]:
+    """Position in failures of every image on the grid."""
+    pos = {rec_id: i for i, rec_id in enumerate(failures.ids)}
+    for rec_id in grid.assigned_ids():
+        if rec_id not in pos:
+            raise DataError(f"no failure score for grid cell image '{rec_id}'")
+    return pos
 
 
 def colormap(correctness) -> np.ndarray:
@@ -120,6 +104,7 @@ def render(
         raise DataError("cell_px must be at least 8")
     if not 0.0 <= alpha <= 1.0:
         raise DataError("alpha must lie in [0, 1]")
+    pos = _positions(grid, failures)
     canvas = np.empty((grid.rows * cell_px, grid.cols * cell_px, 3), dtype=np.uint8)
     # one grid row of the canvas as cell_px x cols x cell_px x 3: cell c is [:, c]
     row_blocks = canvas.reshape(grid.rows, cell_px, grid.cols, cell_px, 3)
@@ -128,14 +113,9 @@ def render(
         occupied = [c for c, rec_id in enumerate(row) if rec_id is not None]
         if not occupied:
             continue
-        scores, pixels = [], []
-        for c in occupied:
-            if row[c] not in failures.scores:
-                raise DataError(f"no failure score for grid cell image '{row[c]}'")
-            scores.append(failures.scores[row[c]])
-            pixels.append(dataset.record_by_id(row[c]).pixels)
+        pixels = [dataset.record_by_id(row[c]).pixels for c in occupied]
         gray = np.rint(_resize_nearest(np.stack(pixels), cell_px) * 255.0)
-        tint = colormap(1.0 - np.array(scores)).astype(np.float64)
+        tint = colormap(1.0 - failures.scores[[pos[row[c]] for c in occupied]]).astype(np.float64)
         blended = (1.0 - alpha) * gray[..., None] + alpha * tint[:, None, None, :]
         block[:, occupied] = np.clip(np.rint(blended), 0, 255).astype(np.uint8).swapaxes(0, 1)
     legend = {
@@ -154,31 +134,20 @@ def save_saliency(image: SaliencyImage, path) -> None:
 
 def grid_sidecar(grid: GridLayout, failures: FailureScores) -> dict:
     """JSON-ready map of cell position -> {id, failure, prediction}."""
+    pos = _positions(grid, failures)
     cells: dict[str, dict] = {}
     for r in range(grid.rows):
         for c in range(grid.cols):
             rec_id = grid.cells[r][c]
             if rec_id is None:
                 continue
-            if rec_id not in failures.scores:
-                raise DataError(f"no failure score for grid cell image '{rec_id}'")
             cells[f"{r},{c}"] = {
                 "id": rec_id,
-                "failure": failures.scores[rec_id],
-                "prediction": failures.predictions[rec_id],
+                "failure": float(failures.scores[pos[rec_id]]),
+                "prediction": float(failures.predictions[pos[rec_id]]),
             }
     return {"rows": grid.rows, "cols": grid.cols, "cells": cells}
 
 
 def save_sidecar(grid: GridLayout, failures: FailureScores, path) -> None:
     Path(path).write_text(json.dumps(grid_sidecar(grid, failures)), encoding="utf-8")
-
-
-def scores_in_order(failures: FailureScores, ids: Sequence[str] | None = None) -> np.ndarray:
-    """Failure scores as an array, in the given id order (or insertion order)."""
-    if ids is None:
-        ids = list(failures.scores)
-    missing = [i for i in ids if i not in failures.scores]
-    if missing:
-        raise DataError(f"missing failure scores for {len(missing)} ids (first: '{missing[0]}')")
-    return np.array([failures.scores[i] for i in ids], dtype=np.float64)

@@ -62,7 +62,7 @@ def make_weights(failures: FailureScores, mode: str = "failure") -> SampleWeight
     """
     if mode not in WEIGHT_MODES:
         raise DataError(f"unknown weight mode '{mode}' (expected one of {WEIGHT_MODES})")
-    ids, scores = failures.ordered()
+    ids, scores = failures.ids, failures.scores
     if not ids:
         raise DataError("cannot build sample weights from an empty score set")
     raw = scores if mode == "failure" else 1.0 - scores
@@ -149,22 +149,3 @@ def save_matchset(ms: MatchSet, path) -> None:
         "matches": [[v, p, d] for v, p, d in ms.matches],
     }
     Path(path).write_text(json.dumps(obj), encoding="utf-8")
-
-
-def load_matchset(path) -> MatchSet:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read matchset {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not a valid matchset file: {exc.msg}") from exc
-    if obj.get("format") != "matchset" or obj.get("version") != 1:
-        raise DataError(f"{path}: not a version-1 matchset file")
-    return MatchSet(
-        sampled_val_ids=[str(v) for v in obj["sampled_val_ids"]],
-        matched_pool_ids=[str(v) for v in obj["matched_pool_ids"]],
-        matches=[(str(v), str(p), float(d)) for v, p, d in obj["matches"]],
-        mode=str(obj["mode"]),
-        seed=int(obj["seed"]),
-    )

@@ -8,10 +8,11 @@ criterion at the end of the run.
 """
 
 import time
+from dataclasses import replace
 
 import pytest
 
-from biasgrid.classifier import TrainHyper, hyper_with, train
+from biasgrid.classifier import TrainHyper, train
 from biasgrid.loop import LoopConfig, run_loop, run_random_baseline
 from biasgrid.seeding import derive_seed
 from biasgrid.synth import CorpusSpec, generate_corpus
@@ -60,7 +61,7 @@ def default_corpus():
 def base_model(default_corpus):
     """Iteration-0 model, trained exactly the way the loop trains it."""
     train_ds = default_corpus[0]
-    hyper = hyper_with(TrainHyper(), seed=derive_seed(0, "train", "0"))
+    hyper = replace(TrainHyper(), seed=derive_seed(0, "train", "0"))
     return train(train_ds, hyper)
 
 

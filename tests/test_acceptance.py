@@ -29,7 +29,7 @@ from biasgrid.dataset import Dataset, ImageRecord, save_dataset
 from biasgrid.grid import make_grid
 from biasgrid.loop import group_accuracy
 from biasgrid.pca import fit, project
-from biasgrid.saliency import colormap, failures_from_scores
+from biasgrid.saliency import FailureScores, colormap
 from biasgrid.sampler import make_weights, sample
 from biasgrid.seeding import derive_seed, make_rng
 from biasgrid.synth import CorpusSpec, generate_split
@@ -103,7 +103,8 @@ def test_criterion_3_sampler_statistics():
     """1e5 seeded draws from weights [0.7, 0.2, 0.1]: frequencies within
     +-0.01, chi-square at significance 1e-3; success-mode weights for
     C=[0.1, 0.4, 0.5] equal [0.45, 0.30, 0.25] to 1e-12."""
-    weights = make_weights(failures_from_scores(["a", "b", "c"], [0.7, 0.2, 0.1], [0.0] * 3))
+    c = np.array([0.7, 0.2, 0.1])  # labels 0, so failure score = prediction
+    weights = make_weights(FailureScores(ids=["a", "b", "c"], predictions=c, scores=c))
     n_draws = 100_000
     draws = sample(weights, n_draws, seed=derive_seed(0, "acceptance", "sampler"))
     counts = np.array([draws.count(i) for i in ("a", "b", "c")], dtype=np.float64)
@@ -113,9 +114,8 @@ def test_criterion_3_sampler_statistics():
     pvalue = stats.chisquare(counts, f_exp=target * n_draws).pvalue
     chi_ok = pvalue > 1e-3
 
-    flipped = make_weights(
-        failures_from_scores(["a", "b", "c"], [0.1, 0.4, 0.5], [0.0] * 3), mode="success"
-    )
+    c = np.array([0.1, 0.4, 0.5])
+    flipped = make_weights(FailureScores(ids=["a", "b", "c"], predictions=c, scores=c), mode="success")
     example_ok = bool(np.all(np.abs(flipped.weights - [0.45, 0.30, 0.25]) <= 1e-12))
     criterion(
         3,

@@ -1,23 +1,21 @@
-"""Reference classifier: gradients, early stopping, fine-tuning, subprocess protocol."""
+"""Reference classifier: gradients, early stopping, fine-tuning, model files."""
 
-import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from biasgrid.classifier import (
     RefModel,
-    SubprocessClassifier,
     TrainHyper,
     _optimize,
     accuracy,
     accuracy_from_scores,
     fine_tune,
-    hyper_with,
     load_model,
     loss_gradient,
     loss_value,
-    predict,
+    predict_dataset,
     predict_matrix,
     save_model,
     sigmoid,
@@ -196,7 +194,7 @@ def test_train_rejects_single_label_data():
 def test_predict_dimension_mismatch():
     model = RefModel(weights=np.zeros(4), bias=0.0)
     with pytest.raises(DataError, match="9 pixels.*expects 4"):
-        predict(model, np.zeros((3, 3)))
+        predict_dataset(model, toy_dataset(side=3))
     with pytest.raises(DataError, match="expects 4"):
         predict_matrix(model, np.zeros((2, 5)))
 
@@ -226,14 +224,7 @@ def test_hyper_validation_errors():
     ]
     for bad in cases:
         with pytest.raises(DataError):
-            hyper_with(TrainHyper(), **bad).validate()
-
-
-def test_hyper_with_copies():
-    base = TrainHyper()
-    changed = hyper_with(base, learning_rate=9.0, seed=77)
-    assert changed.learning_rate == 9.0 and changed.seed == 77
-    assert base.learning_rate == 0.05 and base.seed == 0
+            replace(TrainHyper(), **bad).validate()
 
 
 def test_model_round_trip_is_exact(tmp_path):
@@ -269,65 +260,3 @@ def test_load_model_rejects_bad_files(tmp_path):
     path.write_text('{"format": "other", "version": 1}')
     with pytest.raises(DataError, match="ref-model"):
         load_model(path)
-
-
-def write_stub(tmp_path, body):
-    script = tmp_path / "scorer.py"
-    script.write_text("import json, sys\nfrom biasgrid.dataset import load_manifest\n" + body)
-    return [sys.executable, str(script)]
-
-
-def test_subprocess_classifier_scores_align(tmp_path):
-    ds = toy_dataset(n=8)
-    argv = write_stub(
-        tmp_path,
-        "ds = load_manifest(sys.argv[1])\n"
-        "for rec in ds.records:\n"
-        "    print(json.dumps({'id': rec.id, 'score': float(rec.pixels.mean())}))\n",
-    )
-    scores = SubprocessClassifier(argv).score_dataset(ds)
-    # save/load quantizes pixels to 8 bits, so means match only approximately
-    assert np.allclose(scores, ds.matrix().mean(axis=1), atol=1e-2)
-
-
-def test_subprocess_classifier_missing_id(tmp_path):
-    ds = toy_dataset(n=4)
-    argv = write_stub(
-        tmp_path,
-        "ds = load_manifest(sys.argv[1])\n"
-        "for rec in ds.records[1:]:\n"
-        "    print(json.dumps({'id': rec.id, 'score': 0.5}))\n",
-    )
-    with pytest.raises(DataError, match="missing 1 ids"):
-        SubprocessClassifier(argv).score_dataset(ds)
-
-
-def test_subprocess_classifier_rejects_out_of_range_score(tmp_path):
-    ds = toy_dataset(n=4)
-    argv = write_stub(
-        tmp_path,
-        "ds = load_manifest(sys.argv[1])\n"
-        "for rec in ds.records:\n"
-        "    print(json.dumps({'id': rec.id, 'score': 1.5}))\n",
-    )
-    with pytest.raises(DataError, match="outside"):
-        SubprocessClassifier(argv).score_dataset(ds)
-
-
-def test_subprocess_classifier_reports_child_failure(tmp_path):
-    ds = toy_dataset(n=4)
-    argv = write_stub(tmp_path, "sys.exit('scorer exploded')\n")
-    with pytest.raises(DataError, match=r"exit 1.*scorer exploded"):
-        SubprocessClassifier(argv).score_dataset(ds)
-
-
-def test_subprocess_classifier_rejects_malformed_output(tmp_path):
-    ds = toy_dataset(n=4)
-    argv = write_stub(tmp_path, "print('not json at all')\n")
-    with pytest.raises(DataError, match="malformed JSON"):
-        SubprocessClassifier(argv).score_dataset(ds)
-
-
-def test_subprocess_classifier_needs_argv():
-    with pytest.raises(DataError, match="non-empty argv"):
-        SubprocessClassifier([])

@@ -87,13 +87,6 @@ def test_manifest_round_trip(tmp_path):
     assert manifest.read_text().endswith("\n")
 
 
-def test_save_dataset_honors_custom_image_dir(tmp_path):
-    ds = Dataset.from_records([ImageRecord("only", eight_bit((4, 4), 2), 1)])
-    save_dataset(ds, tmp_path / "m.jsonl", image_dir="imgs")
-    assert (tmp_path / "imgs" / "only.pgm").exists()
-    assert load_manifest(tmp_path / "m.jsonl").record_by_id("only").label == 1
-
-
 def test_manifest_paths_resolve_relative_to_manifest_dir(tmp_path):
     ds = Dataset.from_records([ImageRecord("r", eight_bit((4, 4), 3), 0)])
     nested = tmp_path / "deep" / "deeper"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biasgrid.errors import DataError
-from biasgrid.grid import default_dims, load_grid, make_grid, save_grid
+from biasgrid.grid import default_dims, make_grid
 from oracles import brute_force_grid
 
 
@@ -82,26 +82,6 @@ def test_default_dims():
     assert default_dims(16) == (4, 4)
     assert default_dims(1) == (1, 1)
     assert default_dims(300) == (17, 17)
-
-
-def test_save_load_round_trip(tmp_path):
-    coords = np.random.default_rng(2).normal(size=(7, 2))
-    layout = make_grid(coords, 3, 3, ids=[f"x{i}" for i in range(7)])
-    save_grid(layout, tmp_path / "g.json")
-    back = load_grid(tmp_path / "g.json")
-    assert back.cells == layout.cells
-    assert np.array_equal(back.cell_coords, layout.cell_coords)
-    assert np.array_equal(back.assigned_from, layout.assigned_from)
-
-
-def test_load_rejects_bad_files(tmp_path):
-    path = tmp_path / "g.json"
-    path.write_text('{"format": "grid-layout", "version": 2}')
-    with pytest.raises(DataError, match="version-1"):
-        load_grid(path)
-    path.write_text("nope")
-    with pytest.raises(DataError, match="not a valid grid"):
-        load_grid(path)
 
 
 def test_input_validation():

@@ -60,6 +60,15 @@ def test_config_validation():
     assert LoopConfig(k=9).resolved_k(36) == 9
 
 
+def test_unknown_weight_mode_fails_before_any_output(small_corpus, tmp_path):
+    with pytest.raises(DataError, match="unknown weight mode 'bogus'"):
+        LoopConfig(weight_mode="bogus").validate()
+    train_ds, val, pool = small_corpus
+    with pytest.raises(DataError, match="unknown weight mode 'bogus'"):
+        run_loop(train_ds, val, pool, cfg=small_cfg(weight_mode="bogus"), out_dir=tmp_path / "run")
+    assert not list(tmp_path.glob("run/iter-*"))
+
+
 def test_group_accuracy_by_tag():
     from biasgrid.dataset import ImageRecord
 

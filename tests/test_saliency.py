@@ -1,6 +1,7 @@
 """Failure scores, colormap exactness, and grid rendering."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,12 +16,10 @@ from biasgrid.saliency import (
     FailureScores,
     colormap,
     compute_failures,
-    failures_from_scores,
     grid_sidecar,
     render,
     save_saliency,
     save_sidecar,
-    scores_in_order,
 )
 from oracles import per_pixel_render
 
@@ -29,6 +28,12 @@ def flat_dataset(values, side=8):
     return Dataset.from_records(
         [ImageRecord(f"f{i}", np.full((side, side), v), i % 2) for i, v in enumerate(values)]
     )
+
+
+def failures_of(ids, preds, labels):
+    """FailureScores as compute_failures builds them, from given predictions."""
+    preds = np.asarray(preds, dtype=np.float64)
+    return FailureScores(ids=list(ids), predictions=preds, scores=np.abs(preds - np.asarray(labels)))
 
 
 def test_colormap_anchors_are_exact():
@@ -52,31 +57,27 @@ def test_compute_failures_is_score_label_gap():
     ds = flat_dataset([0.2, 0.8])
     model = RefModel(weights=np.zeros(64), bias=0.0)  # every score is 0.5
     failures = compute_failures(model, ds)
-    assert failures.scores == {"f0": 0.5, "f1": 0.5}
-    assert failures.predictions == {"f0": 0.5, "f1": 0.5}
+    assert failures.ids == ["f0", "f1"]
+    assert failures.scores.dtype == np.float64 and failures.scores.tolist() == [0.5, 0.5]
+    assert failures.predictions.dtype == np.float64 and failures.predictions.tolist() == [0.5, 0.5]
 
 
-def test_failures_from_scores_matches_definition():
-    failures = failures_from_scores(["a", "b"], [0.9, 0.1], [0.0, 1.0])
-    assert failures.scores["a"] == pytest.approx(0.9)
-    assert failures.scores["b"] == pytest.approx(0.9)
-    with pytest.raises(DataError, match="equal length"):
-        failures_from_scores(["a"], [0.5, 0.5], [0.0])
-    with pytest.raises(DataError, match=r"within \[0, 1\]"):
-        failures_from_scores(["a"], [1.5], [0.0])
-
-
-def test_ordered_preserves_insertion_order():
-    failures = FailureScores(scores={"z": 0.1, "a": 0.9}, predictions={"z": 0.1, "a": 0.1})
-    ids, arr = failures.ordered()
-    assert ids == ["z", "a"]
-    assert arr.tolist() == [0.1, 0.9]
+def test_compute_failures_keeps_dataset_order():
+    # ids out of sorted order and distinct scores: every array follows the records
+    rows = (("z", 0.9, 0), ("a", 0.2, 1), ("m", 0.5, 1))
+    ds = Dataset.from_records([ImageRecord(i, np.full((2, 2), v), y) for i, v, y in rows])
+    model = RefModel(weights=np.full(4, 2.0), bias=-4.0)  # score = sigmoid(8 v - 4)
+    failures = compute_failures(model, ds)
+    preds = [1.0 / (1.0 + math.exp(4.0 - 8.0 * v)) for _, v, _ in rows]
+    assert failures.ids == ["z", "a", "m"]
+    assert failures.predictions.tolist() == pytest.approx(preds)
+    assert failures.scores.tolist() == pytest.approx([abs(p - y) for p, (_, _, y) in zip(preds, rows)])
 
 
 def test_render_blends_image_and_tint_exactly():
     ds = Dataset.from_records([ImageRecord("solo", np.full((32, 32), 0.5), 0)])
     grid = make_grid(np.array([[0.0, 0.0]]), 1, 1, ids=["solo"])
-    failures = failures_from_scores(["solo"], [1.0], [0.0])  # C=1, correctness 0
+    failures = failures_of(["solo"], [1.0], [0.0])  # C=1, correctness 0
     img = render(grid, ds, failures, cell_px=32, alpha=0.4)
     # gray 128 blended with the failing anchor (68, 1, 84)
     assert img.pixels.shape == (32, 32, 3)
@@ -87,7 +88,7 @@ def test_render_alpha_zero_is_nearest_neighbor_grayscale():
     px = np.arange(64, dtype=np.float64).reshape(8, 8) / 63.0
     ds = Dataset.from_records([ImageRecord("im", px, 0)])
     grid = make_grid(np.array([[0.0, 0.0]]), 1, 1, ids=["im"])
-    failures = failures_from_scores(["im"], [0.0], [0.0])
+    failures = failures_of(["im"], [0.0], [0.0])
     img = render(grid, ds, failures, cell_px=16, alpha=0.0)
     gray = np.rint(px * 255.0)
     expected = np.repeat(np.repeat(gray, 2, axis=0), 2, axis=1)
@@ -98,7 +99,7 @@ def test_render_alpha_zero_is_nearest_neighbor_grayscale():
 def test_render_paints_empty_cells_gray():
     ds = flat_dataset([0.3, 0.6])
     grid = make_grid(np.array([[0.0, 0.0], [1.0, 1.0]]), 2, 2, ids=ds.ids())
-    failures = failures_from_scores(ds.ids(), [0.0, 0.0], [0.0, 1.0])
+    failures = failures_of(ds.ids(), [0.0, 0.0], [0.0, 1.0])
     img = render(grid, ds, failures, cell_px=8)
     empties = [
         (r, c) for r in range(2) for c in range(2) if grid.cells[r][c] is None
@@ -119,10 +120,11 @@ def test_render_matches_per_pixel_reference(alpha):
     grid.cells[0][1] = None
     labels = [0.0] * 10
     preds = np.concatenate([[0.5, 0.0, 1.0, 0.25], rng.random(6)])  # correctness 0.5, 1, 0, 0.75
-    failures = failures_from_scores(ds.ids(), preds, labels)
+    failures = failures_of(ds.ids(), preds, labels)
     img = render(grid, ds, failures, cell_px=9, alpha=alpha)
     images = {rec.id: rec.pixels for rec in ds.records}
-    expected = per_pixel_render(grid.cells, images, failures.scores, 9, alpha, ANCHORS, EMPTY_CELL_RGB)
+    scores = dict(zip(failures.ids, failures.scores))
+    expected = per_pixel_render(grid.cells, images, scores, 9, alpha, ANCHORS, EMPTY_CELL_RGB)
     assert [sum(c is None for c in row) for row in grid.cells] == [1, 0, 2, 4]
     assert np.array_equal(img.pixels, expected)
 
@@ -130,7 +132,7 @@ def test_render_matches_per_pixel_reference(alpha):
 def test_render_legend_documents_the_encoding():
     ds = flat_dataset([0.3])
     grid = make_grid(np.array([[0.0, 0.0]]), 1, 1, ids=["f0"])
-    failures = failures_from_scores(["f0"], [0.0], [0.0])
+    failures = failures_of(["f0"], [0.0], [0.0])
     img = render(grid, ds, failures, cell_px=8, alpha=0.25)
     assert img.legend["anchors"]["0.0"] == [68, 1, 84]
     assert img.legend["alpha"] == 0.25
@@ -140,7 +142,7 @@ def test_render_legend_documents_the_encoding():
 def test_render_input_validation():
     ds = flat_dataset([0.3])
     grid = make_grid(np.array([[0.0, 0.0]]), 1, 1, ids=["f0"])
-    failures = failures_from_scores(["f0"], [0.0], [0.0])
+    failures = failures_of(["f0"], [0.0], [0.0])
     with pytest.raises(DataError, match="cell_px"):
         render(grid, ds, failures, cell_px=4)
     with pytest.raises(DataError, match="alpha"):
@@ -153,7 +155,7 @@ def test_render_input_validation():
 def test_save_saliency_writes_ppm(tmp_path):
     ds = flat_dataset([0.3])
     grid = make_grid(np.array([[0.0, 0.0]]), 1, 1, ids=["f0"])
-    failures = failures_from_scores(["f0"], [0.5], [0.0])
+    failures = failures_of(["f0"], [0.5], [0.0])
     img = render(grid, ds, failures, cell_px=8)
     save_saliency(img, tmp_path / "s.ppm")
     data = (tmp_path / "s.ppm").read_bytes()
@@ -164,7 +166,7 @@ def test_save_saliency_writes_ppm(tmp_path):
 def test_sidecar_maps_cells_to_scores(tmp_path):
     ds = flat_dataset([0.3, 0.6])
     grid = make_grid(np.array([[0.0, 0.0], [1.0, 1.0]]), 1, 2, ids=ds.ids())
-    failures = failures_from_scores(ds.ids(), [0.25, 0.75], [0.0, 1.0])
+    failures = failures_of(ds.ids(), [0.25, 0.75], [0.0, 1.0])
     sidecar = grid_sidecar(grid, failures)
     assert sidecar["rows"] == 1 and sidecar["cols"] == 2
     entries = {v["id"]: v for v in sidecar["cells"].values()}
@@ -173,11 +175,6 @@ def test_sidecar_maps_cells_to_scores(tmp_path):
     assert entries["f1"]["prediction"] == pytest.approx(0.75)
     save_sidecar(grid, failures, tmp_path / "cells.json")
     assert json.loads((tmp_path / "cells.json").read_text()) == sidecar
-
-
-def test_scores_in_order():
-    failures = failures_from_scores(["a", "b", "c"], [0.1, 0.2, 0.3], [0, 0, 0])
-    assert scores_in_order(failures, ["c", "a"]).tolist() == pytest.approx([0.3, 0.1])
-    assert scores_in_order(failures).tolist() == pytest.approx([0.1, 0.2, 0.3])
-    with pytest.raises(DataError, match="missing failure scores"):
-        scores_in_order(failures, ["a", "zz"])
+    orphan_grid = make_grid(np.array([[0.0, 0.0]]), 1, 1, ids=["ghost"])
+    with pytest.raises(DataError, match="no failure score for grid cell image 'ghost'"):
+        grid_sidecar(orphan_grid, failures)
