@@ -225,15 +225,21 @@ def load_model(path) -> RefModel:
         raise DataError(f"cannot read model {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not a valid model file: {exc.msg}") from exc
-    if obj.get("format") != "ref-model" or obj.get("version") != 1:
+    if not isinstance(obj, dict) or obj.get("format") != "ref-model" or obj.get("version") != 1:
         raise DataError(f"{path}: not a version-1 ref-model file")
-    weights = np.asarray(obj["weights"], dtype=np.float64)
-    if weights.shape[0] != obj["dim"]:
+    missing = [key for key in ("dim", "weights", "bias", "trained_epochs", "history") if key not in obj]
+    if missing:
+        raise DataError(f"{path}: model file lacks key '{missing[0]}'")
+    try:
+        model = RefModel(
+            weights=np.asarray(obj["weights"], dtype=np.float64),
+            bias=float(obj["bias"]),
+            trained_epochs=int(obj["trained_epochs"]),
+            best_epoch=int(obj.get("best_epoch", 0)),
+            history=[(float(l), float(a)) for l, a in obj["history"]],
+        )
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed model file: {exc}") from exc
+    if model.weights.ndim != 1 or model.weights.shape[0] != obj["dim"]:
         raise DataError(f"{path}: weight count does not match declared dim")
-    return RefModel(
-        weights=weights,
-        bias=float(obj["bias"]),
-        trained_epochs=int(obj["trained_epochs"]),
-        best_epoch=int(obj.get("best_epoch", 0)),
-        history=[(float(l), float(a)) for l, a in obj["history"]],
-    )
+    return model

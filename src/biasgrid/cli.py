@@ -18,7 +18,7 @@ from .classifier import load_model, save_model, train
 from .config import RunConfig, default_config, load_config
 from .dataset import load_manifest, save_dataset
 from .errors import BiasgridError, ConfigError, DataError, NumericalError
-from .grid import default_dims, make_grid
+from .grid import make_grid
 from .loop import run_loop, run_random_baseline
 from .pca import fit, load_basis, project, save_basis
 from .saliency import compute_failures, render, save_saliency, save_sidecar
@@ -95,8 +95,7 @@ def _load_run_config(args) -> RunConfig:
 
 
 def _out_dir(cfg: RunConfig) -> Path:
-    out = cfg["paths.out_dir"]
-    return Path(out) if out is not None else Path(".")
+    return Path(cfg["paths.out_dir"])
 
 
 def _resolve_out(cfg: RunConfig, path: Path) -> Path:
@@ -146,12 +145,7 @@ def cmd_visualize(args) -> int:
     basis = load_basis(args.basis)
     model = load_model(args.model)
     coords = project(basis, ds)
-    rows, cols = args.rows, args.cols
-    if rows is None or cols is None:
-        d_rows, d_cols = default_dims(len(ds.records))
-        rows = rows if rows is not None else d_rows
-        cols = cols if cols is not None else d_cols
-    grid = make_grid(coords, rows, cols, ids=ds.ids())
+    grid = make_grid(coords, args.rows, args.cols, ids=ds.ids())
     failures = compute_failures(model, ds)
     cell_px = args.cell_px if args.cell_px is not None else cfg["render.cell_px"]
     alpha = args.alpha if args.alpha is not None else cfg["render.alpha"]

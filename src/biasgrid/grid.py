@@ -36,11 +36,14 @@ def default_dims(n: int) -> tuple[int, int]:
     return side, side
 
 
-def make_grid(coords, rows: int, cols: int, ids: Sequence[str] | None = None) -> GridLayout:
+def make_grid(
+    coords, rows: int | None = None, cols: int | None = None, ids: Sequence[str] | None = None
+) -> GridLayout:
     """Assign each lattice point the nearest unassigned image.
 
-    Ties break toward the lowest dataset index. Once every image is
-    assigned (when rows*cols > N), remaining cells stay empty.
+    rows and cols that are None take default_dims(N). Ties break toward
+    the lowest dataset index. Once every image is assigned (when
+    rows*cols > N), remaining cells stay empty.
     """
     pts = np.asarray(coords, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -48,6 +51,9 @@ def make_grid(coords, rows: int, cols: int, ids: Sequence[str] | None = None) ->
     n = pts.shape[0]
     if n < 1:
         raise DataError("need at least one coordinate")
+    d_rows, d_cols = default_dims(n)
+    rows = d_rows if rows is None else rows
+    cols = d_cols if cols is None else cols
     if rows < 1 or cols < 1:
         raise DataError("rows and cols must be >= 1")
     if ids is None:

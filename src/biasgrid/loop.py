@@ -2,11 +2,13 @@
 fine-tune, repeat.
 
 Iteration 0 trains the base model on the original training set. Each later
-iteration scores the validation set with the current model, renders the
-similarity grid with the failure overlay, samples hard validation images
-in proportion to their failure scores, matches them to nearby augmentation
-pool images in projection space, appends the matched records to the
-working training set, and fine-tunes at that iteration's learning rate.
+iteration renders the similarity grid with the current model's failure
+overlay, samples hard validation images in proportion to their failure
+scores, matches them to nearby augmentation pool images in projection
+space, appends the matched records to the working training set, and
+fine-tunes at that iteration's learning rate. Each trained model scores
+the validation set once, and those scores serve its record and the next
+iteration; a model that no fine-tune replaced keeps its scores.
 The loop stops on a validation-accuracy plateau or after max_iterations.
 
 A random-selection control arm (run_random_baseline) draws the same
@@ -22,9 +24,9 @@ from __future__ import annotations
 import json
 import math
 import shutil
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -39,11 +41,13 @@ from .classifier import (
 )
 from .dataset import Dataset
 from .errors import DataError
-from .grid import default_dims, make_grid
+from .grid import make_grid
 from .pca import fit, project
 from .saliency import (
     DEFAULT_ALPHA,
     DEFAULT_CELL_PX,
+    FailureScores,
+    check_render_settings,
     compute_failures,
     render,
     save_saliency,
@@ -113,6 +117,7 @@ class LoopConfig:
             raise DataError("convergence_patience must be >= 1")
         if self.weight_mode not in WEIGHT_MODES:
             raise DataError(f"unknown weight mode '{self.weight_mode}' (expected one of {WEIGHT_MODES})")
+        check_render_settings(self.cell_px, self.alpha)
         if self.max_iterations > 0:
             self.resolved_schedule()
 
@@ -132,64 +137,23 @@ class LoopState:
     model_path: str | None = None
     saliency_path: str | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "val_accuracy": self.val_accuracy,
-            "group_accuracies": self.group_accuracies,
-            "test_accuracy": self.test_accuracy,
-            "selected_val_ids": self.selected_val_ids,
-            "matched_pool_ids": self.matched_pool_ids,
-            "train_size": self.train_size,
-            "selection_mode": self.selection_mode,
-            "model_path": self.model_path,
-            "saliency_path": self.saliency_path,
-        }
-
 
 def group_accuracy(dataset: Dataset, scores: np.ndarray) -> dict[str, float]:
     """Accuracy per group tag (records without a tag are skipped)."""
     labels = dataset.labels()
-    hits = (scores >= 0.5) == (labels == 1)
-    out: dict[str, float] = {}
     groups = dataset.groups()
+    out: dict[str, float] = {}
     for g in sorted({g for g in groups if g is not None}):
         mask = np.array([gi == g for gi in groups])
-        out[g] = float(np.mean(hits[mask]))
+        out[g] = accuracy_from_scores(scores[mask], labels[mask])
     return out
 
 
-def _assert_disjoint(working_ids: set[str], val: Dataset, test: Dataset | None) -> None:
-    for name, ds in (("validation", val), ("test", test)):
-        if ds is None:
-            continue
-        leaked = working_ids.intersection(ds.ids())
-        if leaked:
-            raise DataError(f"{name} record '{sorted(leaked)[0]}' leaked into the training set")
-
-
 def _uniform_pool_draw(pool_ids: Sequence[str], count: int, seed: int) -> MatchSet:
-    """Control arm: count uniform draws (with replacement) then dedup."""
-    rng = make_rng(seed)
-    idx = rng.integers(0, len(pool_ids), size=count)
-    matched: list[str] = []
-    seen: set[str] = set()
-    for i in idx:
-        pid = pool_ids[int(i)]
-        if pid not in seen:
-            seen.add(pid)
-            matched.append(pid)
+    """Control arm: count uniform draws (with replacement), deduplicated in draw order."""
+    idx = make_rng(seed).integers(0, len(pool_ids), size=count)
+    matched = list(dict.fromkeys(pool_ids[int(i)] for i in idx))
     return MatchSet(sampled_val_ids=[], matched_pool_ids=matched, matches=[], mode="random", seed=seed)
-
-
-def _evaluate(model: RefModel, val: Dataset, test: Dataset | None) -> tuple[float, dict[str, float], float | None]:
-    val_scores = predict_dataset(model, val)
-    val_acc = accuracy_from_scores(val_scores, val.labels())
-    groups = group_accuracy(val, val_scores)
-    test_acc = None
-    if test is not None:
-        test_acc = accuracy_from_scores(predict_dataset(model, test), test.labels())
-    return val_acc, groups, test_acc
 
 
 def _run(
@@ -199,16 +163,27 @@ def _run(
     test: Dataset | None,
     cfg: LoopConfig,
     out_dir,
-    select: Callable[[int, object, np.ndarray, np.ndarray], MatchSet],
+    select: Callable[[int, FailureScores, np.ndarray, np.ndarray], MatchSet],
 ) -> list[LoopState]:
     cfg.validate()
     if len(pool.records) == 0:
         raise DataError("augmentation pool is empty")
-    for ds, name in ((val, "validation"), (pool, "pool")):
-        if (ds.height, ds.width) != (train_ds.height, train_ds.width):
+    for ds, name in ((val, "validation"), (pool, "pool"), (test, "test")):
+        if ds is not None and (ds.height, ds.width) != (train_ds.height, train_ds.width):
             raise DataError(f"{name} image dimensions do not match the training set")
-    if test is not None and (test.height, test.width) != (train_ds.height, train_ds.width):
-        raise DataError("test image dimensions do not match the training set")
+    held_out = [
+        (name, set(ds.ids())) for ds, name in ((val, "validation"), (test, "test")) if ds is not None
+    ]
+
+    def refuse_leaks(ids: Iterable[str]) -> None:
+        for name, held in held_out:
+            leaked = held.intersection(ids)
+            if leaked:
+                raise DataError(f"{name} record '{sorted(leaked)[0]}' leaked into the training set")
+
+    working = train_ds
+    working_ids = set(working.ids())
+    refuse_leaks(working_ids)
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -223,43 +198,74 @@ def _run(
     basis = fit(val)
     val_coords = project(basis, val)
     pool_coords = project(basis, pool)
-    rows, cols = cfg.grid_rows, cfg.grid_cols
-    if rows is None or cols is None:
-        d_rows, d_cols = default_dims(len(val.records))
-        rows = rows if rows is not None else d_rows
-        cols = cols if cols is not None else d_cols
-    grid = make_grid(val_coords, rows, cols, ids=val.ids())
+    grid = make_grid(val_coords, cfg.grid_rows, cfg.grid_cols, ids=val.ids())
 
     sched = cfg.resolved_schedule() if cfg.max_iterations > 0 else ()
 
-    working = train_ds
-    working_ids = set(working.ids())
-    _assert_disjoint(working_ids, val, test)
+    def score(model: RefModel) -> tuple[FailureScores, float | None]:
+        """The one scoring of a freshly trained model: validation failures and test accuracy."""
+        failures = compute_failures(model, val)
+        test_acc = None
+        if test is not None:
+            test_acc = accuracy_from_scores(predict_dataset(model, test), test.labels())
+        return failures, test_acc
 
-    model = train(working, replace(cfg.hyper, seed=derive_seed(cfg.seed, "train", "0")))
+    model = trained = train(working, replace(cfg.hyper, seed=derive_seed(cfg.seed, "train", "0")))
+    failures, test_acc = score(model)
+    sel, matched, mode, sal_rel = [], [], None, None  # iteration 0 selects nothing
     states: list[LoopState] = []
+    flat_iters = 0
 
-    def record(
-        t: int,
-        sel: list[str],
-        matched: list[str],
-        mode: str | None,
-        sal_rel: str | None,
-        trained: RefModel | None,
-    ) -> LoopState:
-        val_acc, groups, test_acc = _evaluate(model, val, test)
-        model_rel = None
-        if out_path is not None:
-            iter_dir = out_path / f"iter-{t}"
-            iter_dir.mkdir(parents=True, exist_ok=True)
-            model_rel = f"iter-{t}/model.json"
-            save_model(model, iter_dir / "model.json")
+    for t in range(cfg.max_iterations + 1):
+        iter_dir = out_path / f"iter-{t}" if out_path is not None else None
+        if iter_dir is not None:
+            iter_dir.mkdir(exist_ok=True)
+        if t > 0:
+            if iter_dir is not None:
+                sal_rel = f"iter-{t}/saliency.ppm"
+                image = render(grid, val, failures, cell_px=cfg.cell_px, alpha=cfg.alpha)
+                save_saliency(image, out_path / sal_rel)
+            ms = select(t, failures, val_coords, pool_coords)
+            sel, matched, mode = ms.sampled_val_ids, ms.matched_pool_ids, ms.mode
+            if iter_dir is not None:
+                save_matchset(ms, iter_dir / "matchset.json")
+            trained = None
+            if matched:
+                new_records = [pool.record_by_id(pid) for pid in matched if pid not in working_ids]
+                if new_records:
+                    new_ids = [rec.id for rec in new_records]
+                    refuse_leaks(new_ids)
+                    working = working.appended(new_records)
+                    working_ids.update(new_ids)
+                ft_hyper = replace(
+                    cfg.hyper,
+                    learning_rate=sched[t - 1],
+                    seed=derive_seed(cfg.seed, "train", str(t)),
+                )
+                model = trained = fine_tune(model, working, ft_hyper)
+                failures, test_acc = score(model)
+
+        state = LoopState(
+            iteration=t,
+            val_accuracy=accuracy_from_scores(failures.predictions, val.labels()),
+            group_accuracies=group_accuracy(val, failures.predictions),
+            test_accuracy=test_acc,
+            selected_val_ids=sel,
+            matched_pool_ids=matched,
+            train_size=len(working.records),
+            selection_mode=mode,
+            saliency_path=sal_rel,
+        )
+        states.append(state)
+        if iter_dir is not None:
+            state.model_path = f"iter-{t}/model.json"
+            save_model(model, out_path / state.model_path)
             metrics = {
                 "iteration": t,
-                "val_accuracy": val_acc,
-                "group_accuracies": groups,
+                "val_accuracy": state.val_accuracy,
+                "group_accuracies": state.group_accuracies,
                 "test_accuracy": test_acc,
-                "train_size": len(working.records),
+                "train_size": state.train_size,
                 "learning_rate": cfg.hyper.learning_rate if t == 0 else sched[t - 1],
                 "n_selected": len(sel),
                 "n_matched": len(matched),
@@ -268,67 +274,15 @@ def _run(
                 "best_epoch": trained.best_epoch if trained is not None else None,
             }
             (iter_dir / "metrics.json").write_text(json.dumps(metrics), encoding="utf-8")
-        state = LoopState(
-            iteration=t,
-            val_accuracy=val_acc,
-            group_accuracies=groups,
-            test_accuracy=test_acc,
-            selected_val_ids=sel,
-            matched_pool_ids=matched,
-            train_size=len(working.records),
-            selection_mode=mode,
-            model_path=model_rel,
-            saliency_path=sal_rel,
-        )
-        states.append(state)
-        return state
 
-    record(0, [], [], None, None, model)
-    best_acc = states[0].val_accuracy
-    flat_iters = 0
-
-    for t in range(1, cfg.max_iterations + 1):
-        failures = compute_failures(model, val)
-        sal_rel = None
-        if out_path is not None:
-            iter_dir = out_path / f"iter-{t}"
-            iter_dir.mkdir(parents=True, exist_ok=True)
-            image = render(grid, val, failures, cell_px=cfg.cell_px, alpha=cfg.alpha)
-            sal_rel = f"iter-{t}/saliency.ppm"
-            save_saliency(image, iter_dir / "saliency.ppm")
-
-        ms = select(t, failures, val_coords, pool_coords)
-        if out_path is not None:
-            save_matchset(ms, out_path / f"iter-{t}" / "matchset.json")
-
-        trained = None
-        if ms.matched_pool_ids:
-            new_records = [
-                pool.record_by_id(pid) for pid in ms.matched_pool_ids if pid not in working_ids
-            ]
-            if new_records:
-                working = working.appended(new_records)
-                working_ids.update(rec.id for rec in new_records)
-                _assert_disjoint(working_ids, val, test)
-            ft_hyper = replace(
-                cfg.hyper,
-                learning_rate=sched[t - 1],
-                seed=derive_seed(cfg.seed, "train", str(t)),
-            )
-            model = trained = fine_tune(model, working, ft_hyper)
-
-        state = record(t, ms.sampled_val_ids, ms.matched_pool_ids, ms.mode, sal_rel, trained)
-
-        if state.val_accuracy - best_acc < cfg.convergence_min_delta:
-            flat_iters += 1
-        else:
-            flat_iters = 0
-        best_acc = max(best_acc, state.val_accuracy)
-        if flat_iters >= cfg.convergence_patience:
-            break
+        if t > 0:
+            best_acc = max(s.val_accuracy for s in states[:-1])
+            flat_iters = flat_iters + 1 if state.val_accuracy - best_acc < cfg.convergence_min_delta else 0
+            if flat_iters >= cfg.convergence_patience:
+                break
 
     if out_path is not None:
-        lines = [json.dumps(s.to_json()) for s in states]
+        lines = [json.dumps(asdict(s)) for s in states]
         (out_path / "summary.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return states
 

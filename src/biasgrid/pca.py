@@ -193,16 +193,24 @@ def load_basis(path) -> PcaBasis:
         raise DataError(f"cannot read basis {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not a valid basis file: {exc.msg}") from exc
-    if obj.get("format") != "pca-basis" or obj.get("version") != 1:
+    if not isinstance(obj, dict) or obj.get("format") != "pca-basis" or obj.get("version") != 1:
         raise DataError(f"{path}: not a version-1 pca-basis file")
-    basis = PcaBasis(
-        mean=np.asarray(obj["mean"], dtype=np.float64),
-        components=np.asarray(obj["components"], dtype=np.float64),
-        singular_values=(float(obj["singular_values"][0]), float(obj["singular_values"][1])),
-        trained_on=str(obj["trained_on"]),
-    )
+    missing = [key for key in ("mean", "components", "singular_values", "trained_on") if key not in obj]
+    if missing:
+        raise DataError(f"{path}: basis file lacks key '{missing[0]}'")
+    try:
+        basis = PcaBasis(
+            mean=np.asarray(obj["mean"], dtype=np.float64),
+            components=np.asarray(obj["components"], dtype=np.float64),
+            singular_values=(float(obj["singular_values"][0]), float(obj["singular_values"][1])),
+            trained_on=str(obj["trained_on"]),
+        )
+    except (TypeError, ValueError, IndexError, KeyError) as exc:
+        raise DataError(f"{path}: malformed basis file: {exc}") from exc
     if basis.components.ndim != 2 or basis.components.shape[1] != 2:
         raise DataError(f"{path}: components must be P x 2")
+    if basis.mean.shape != basis.components.shape[:1]:
+        raise DataError(f"{path}: mean must hold one entry per component row ({basis.components.shape[0]})")
     gram = basis.components.T @ basis.components
     if np.max(np.abs(gram - np.eye(2))) > ORTHONORMALITY_TOL:
         raise DataError(f"{path}: basis columns are not orthonormal")

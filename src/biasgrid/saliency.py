@@ -54,6 +54,14 @@ def compute_failures(model: RefModel, dataset: Dataset) -> FailureScores:
     return FailureScores(ids=dataset.ids(), predictions=preds, scores=np.abs(preds - dataset.labels()))
 
 
+def check_render_settings(cell_px: int, alpha: float) -> None:
+    """Refuse a cell size below 8 px or an overlay opacity outside [0, 1]."""
+    if cell_px < 8:
+        raise DataError("cell_px must be at least 8")
+    if not 0.0 <= alpha <= 1.0:
+        raise DataError("alpha must lie in [0, 1]")
+
+
 def _positions(grid: GridLayout, failures: FailureScores) -> dict[str, int]:
     """Position in failures of every image on the grid."""
     pos = {rec_id: i for i, rec_id in enumerate(failures.ids)}
@@ -100,10 +108,7 @@ def render(
     """Paint the grid: per cell, nearest-neighbor resized image blended with
     the correctness tint; empty cells are flat mid-gray. Each grid row is
     painted in one step: one colormap call, one gather, one blend."""
-    if cell_px < 8:
-        raise DataError("cell_px must be at least 8")
-    if not 0.0 <= alpha <= 1.0:
-        raise DataError("alpha must lie in [0, 1]")
+    check_render_settings(cell_px, alpha)
     pos = _positions(grid, failures)
     canvas = np.empty((grid.rows * cell_px, grid.cols * cell_px, 3), dtype=np.uint8)
     # one grid row of the canvas as cell_px x cols x cell_px x 3: cell c is [:, c]

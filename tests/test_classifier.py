@@ -1,5 +1,6 @@
 """Reference classifier: gradients, early stopping, fine-tuning, model files."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -259,4 +260,27 @@ def test_load_model_rejects_bad_files(tmp_path):
         load_model(path)
     path.write_text('{"format": "other", "version": 1}')
     with pytest.raises(DataError, match="ref-model"):
+        load_model(path)
+
+
+GOOD_MODEL = {"format": "ref-model", "version": 1, "dim": 2, "weights": [1.0, 2.0], "bias": 0.5,
+              "trained_epochs": 3, "history": [[0.5, 0.75]]}
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([GOOD_MODEL], "not a version-1 ref-model file"),
+        ({k: v for k, v in GOOD_MODEL.items() if k != "weights"}, "lacks key 'weights'"),
+        ({k: v for k, v in GOOD_MODEL.items() if k != "history"}, "lacks key 'history'"),
+        ({**GOOD_MODEL, "bias": "high"}, "malformed model file"),
+        ({**GOOD_MODEL, "history": [[0.5]]}, "malformed model file"),
+        ({**GOOD_MODEL, "dim": 1, "weights": [[1.0, 2.0]]}, "does not match declared dim"),
+    ],
+    ids=["top_level_list", "no_weights", "no_history", "text_bias", "short_history_row", "matrix_weights"],
+)
+def test_load_model_rejects_malformed_files(tmp_path, obj, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(DataError, match=message):
         load_model(path)

@@ -123,6 +123,31 @@ def test_visualize_rejects_mismatched_basis(tmp_path, small_cfg, capsys):
     assert "data error" in err
 
 
+def test_visualize_malformed_model_exits_three(tmp_path, small_cfg, capsys):
+    out = run_synth(tmp_path, small_cfg)
+    args = ["--out-dir", str(out)]
+    main(args + ["fit-pca", "--manifest", str(out / "val.jsonl"), "--out", "basis.json"])
+    (out / "model.json").write_text('{"format": "ref-model", "version": 1, "dim": 576}')
+    capsys.readouterr()
+    code = main(
+        args
+        + [
+            "visualize",
+            "--manifest",
+            str(out / "val.jsonl"),
+            "--basis",
+            str(out / "basis.json"),
+            "--model",
+            str(out / "model.json"),
+            "--out",
+            "grid.ppm",
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "data error" in err and "lacks key 'weights'" in err
+
+
 def test_loop_generates_corpus_when_no_manifests(tmp_path, small_cfg, capsys):
     out = tmp_path / "work"
     code = main(["--config", str(small_cfg), "--out-dir", str(out), "loop", "--run-name", "r1"])

@@ -84,6 +84,13 @@ def test_default_dims():
     assert default_dims(300) == (17, 17)
 
 
+def test_missing_dims_take_the_default():
+    coords = np.random.default_rng(4).normal(size=(17, 2))
+    grids = (make_grid(coords), make_grid(coords, rows=2), make_grid(coords, cols=3))
+    assert [(g.rows, g.cols) for g in grids] == [(4, 4), (2, 4), (4, 3)]
+    assert make_grid(coords).cells == make_grid(coords, 4, 4).cells
+
+
 def test_input_validation():
     good = np.zeros((3, 2))
     with pytest.raises(DataError, match="N x 2"):

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import biasgrid.loop
+import biasgrid.saliency
 from biasgrid.classifier import TrainHyper, load_model
 from biasgrid.dataset import Dataset
 from biasgrid.errors import DataError
@@ -60,13 +62,63 @@ def test_config_validation():
     assert LoopConfig(k=9).resolved_k(36) == 9
 
 
-def test_unknown_weight_mode_fails_before_any_output(small_corpus, tmp_path):
-    with pytest.raises(DataError, match="unknown weight mode 'bogus'"):
-        LoopConfig(weight_mode="bogus").validate()
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"weight_mode": "bogus"}, "unknown weight mode 'bogus'"),
+        ({"alpha": 2.0}, r"alpha must lie in \[0, 1\]"),
+        ({"cell_px": 4}, "cell_px must be at least 8"),
+    ],
+    ids=["weight_mode", "alpha", "cell_px"],
+)
+def test_unknown_weight_mode_fails_before_any_output(small_corpus, tmp_path, setting, message):
+    with pytest.raises(DataError, match=message):
+        LoopConfig(**setting).validate()
     train_ds, val, pool = small_corpus
-    with pytest.raises(DataError, match="unknown weight mode 'bogus'"):
-        run_loop(train_ds, val, pool, cfg=small_cfg(weight_mode="bogus"), out_dir=tmp_path / "run")
+    with pytest.raises(DataError, match=message):
+        run_loop(train_ds, val, pool, cfg=small_cfg(**setting), out_dir=tmp_path / "run")
     assert not list(tmp_path.glob("run/iter-*"))
+
+
+def select_every_other(pool):
+    """A selector that matches three pool images on even iterations and none on odd ones."""
+
+    def select(t, failures, val_coords, pool_coords):
+        matched = pool.ids()[:3] if t % 2 == 0 else []
+        return MatchSet(sampled_val_ids=[], matched_pool_ids=matched, matches=[], mode="alt", seed=t)
+
+    return select
+
+
+@pytest.mark.parametrize("arm", ["targeted", "random", "every_other"])
+def test_each_trained_model_is_scored_once(small_corpus, monkeypatch, arm):
+    calls = {"predict_dataset": 0, "fine_tune": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(biasgrid.saliency, "predict_dataset")
+    counting(biasgrid.loop, "predict_dataset")
+    counting(biasgrid.loop, "fine_tune")
+    train_ds, val, pool = small_corpus
+    cfg = small_cfg(max_iterations=4, convergence_patience=10)
+    if arm == "targeted":
+        states = run_loop(train_ds, val, pool, cfg=cfg)
+    elif arm == "random":
+        states = run_random_baseline(train_ds, val, pool, cfg=cfg)
+    else:
+        states = _run(train_ds, val, pool, None, cfg, None, select_every_other(pool))
+        # a model that no fine-tune replaced keeps its scores
+        assert [s.val_accuracy for s in states[1::2]] == [s.val_accuracy for s in states[0::2][:2]]
+    assert len(states) == 5
+    assert calls["fine_tune"] >= 2
+    assert calls["predict_dataset"] == 1 + calls["fine_tune"]
 
 
 def test_group_accuracy_by_tag():

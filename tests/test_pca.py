@@ -1,6 +1,7 @@
 """Rank-2 PCA: structure recovery, sign convention, degeneracy, I/O."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -236,6 +237,32 @@ def test_load_rejects_wrong_format(tmp_path):
     path.write_text("{ not json")
     with pytest.raises(DataError, match="not a valid basis"):
         load_basis(path)
+
+
+GOOD_BASIS = {"format": "pca-basis", "version": 1, "mean": [0.0, 0.0, 0.0],
+              "components": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], "singular_values": [2.0, 1.0],
+              "trained_on": "x"}
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([GOOD_BASIS], "not a version-1 pca-basis file"),
+        ({k: v for k, v in GOOD_BASIS.items() if k != "mean"}, "lacks key 'mean'"),
+        ({k: v for k, v in GOOD_BASIS.items() if k != "trained_on"}, "lacks key 'trained_on'"),
+        ({**GOOD_BASIS, "mean": [0.0] * 4}, r"one entry per component row \(3\)"),
+        ({**GOOD_BASIS, "mean": [[0.0, 0.0, 0.0]]}, r"one entry per component row \(3\)"),
+        ({**GOOD_BASIS, "singular_values": [2.0]}, "malformed basis file"),
+    ],
+    ids=["top_level_list", "no_mean", "no_trained_on", "long_mean", "matrix_mean", "one_singular_value"],
+)
+def test_load_rejects_malformed_basis(tmp_path, obj, message):
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(DataError, match=message):
+        load_basis(path)
+    path.write_text(json.dumps(GOOD_BASIS))
+    assert load_basis(path).mean.shape == (3,)  # the unedited file is valid
 
 
 def test_fingerprint_tracks_content_and_shape():
