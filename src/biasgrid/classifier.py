@@ -9,6 +9,11 @@ the training data (the bias-measurement validation set is never used for
 stopping). A training call also ends as soon as the best stop-split
 accuracy plus early_stop_min_delta reaches 1.0, because no later epoch
 could then be kept.
+
+Training copies only the stop split out of the dataset matrix. Each
+gradient step gathers its batch's rows from the matrix by index, and each
+epoch records the stop split's loss and accuracy; no pass over the whole
+fit split is made beyond the gradient steps themselves.
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ class TrainHyper:
 
     val_fraction is carved out of the *training* data as the early-stop
     signal. full_batch replaces mini-batches with one full gradient step
-    per epoch (no shuffling), which makes per-epoch loss non-increasing at
-    small enough learning rates.
+    per epoch (no shuffling), which makes the loss on the rest of the
+    training data (the fit split) non-increasing per epoch at small enough
+    learning rates.
     """
 
     learning_rate: float = 0.05
@@ -69,7 +75,7 @@ class RefModel:
     bias: float
     trained_epochs: int = 0
     best_epoch: int = 0  # epoch whose parameters were kept; 0 = the starting ones
-    history: list[tuple[float, float]] = field(default_factory=list)  # (train_loss, stop_acc)
+    history: list[tuple[float, float]] = field(default_factory=list)  # per epoch: (stop_loss, stop_acc)
 
 
 def sigmoid(z):
@@ -137,8 +143,7 @@ def _optimize(w0: np.ndarray, b0: float, dataset: Dataset, hyper: TrainHyper) ->
     n_stop = min(n - 1, max(1, int(round(hyper.val_fraction * n))))
     stop_idx, fit_idx = perm[:n_stop], perm[n_stop:]
     stop_x, stop_y = mat[stop_idx], labels[stop_idx]
-    fit_x, fit_y = mat[fit_idx], labels[fit_idx]
-    n_fit = fit_x.shape[0]
+    n_fit = fit_idx.shape[0]
 
     w = w0.astype(np.float64).copy()
     b = float(b0)
@@ -152,18 +157,19 @@ def _optimize(w0: np.ndarray, b0: float, dataset: Dataset, hyper: TrainHyper) ->
         # test below cannot pass again. Valid only for that accuracy rule.
         if best_acc + hyper.early_stop_min_delta >= 1.0:
             break
+        # Batches are gathered from the dataset matrix by row index; no copy
+        # of the fit split is kept across steps or calls.
         if hyper.full_batch:
-            batches = [np.arange(n_fit)]
+            batches = [fit_idx]
         else:
             order = rng.permutation(n_fit)
-            batches = [order[i : i + hyper.batch_size] for i in range(0, n_fit, hyper.batch_size)]
+            batches = [fit_idx[order[i : i + hyper.batch_size]] for i in range(0, n_fit, hyper.batch_size)]
         for batch in batches:
-            grad_w, grad_b = loss_gradient(w, b, fit_x[batch], fit_y[batch], hyper.l2)
+            grad_w, grad_b = loss_gradient(w, b, mat[batch], labels[batch], hyper.l2)
             w -= hyper.learning_rate * grad_w
             b -= hyper.learning_rate * grad_b
-        train_loss = loss_value(w, b, fit_x, fit_y, hyper.l2)
         stop_acc = accuracy_from_scores(sigmoid(stop_x @ w + b), stop_y)
-        history.append((train_loss, stop_acc))
+        history.append((loss_value(w, b, stop_x, stop_y, hyper.l2), stop_acc))
         if stop_acc > best_acc + hyper.early_stop_min_delta:
             best_acc = stop_acc
             best_w, best_b, best_epoch = w.copy(), b, epoch

@@ -167,10 +167,11 @@ def cmd_loop(args) -> int:
         cfg.override("loop.weight_mode", args.weight_mode)
     if args.run_name is not None:
         cfg.override("run.name", args.run_name)
-    if cfg["loop.weight_mode"] not in WEIGHT_MODES:
-        raise ConfigError(
-            f"loop.weight_mode must be one of {WEIGHT_MODES}, got '{cfg['loop.weight_mode']}'"
-        )
+    loop_cfg = cfg.loop_config()
+    try:
+        loop_cfg.validate()
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
     manifest_keys = ("paths.train_manifest", "paths.val_manifest", "paths.pool_manifest")
     given = [k for k in manifest_keys if cfg[k] is not None]
     if not given:
@@ -202,7 +203,7 @@ def cmd_loop(args) -> int:
     try:
         os.close(lock_fd)
         runner = run_loop if args.baseline == "targeted" else run_random_baseline
-        states = runner(train_ds, val_ds, pool_ds, test_ds, cfg.loop_config(), out_dir=run_dir)
+        states = runner(train_ds, val_ds, pool_ds, test_ds, loop_cfg, out_dir=run_dir)
     finally:
         lock_path.unlink(missing_ok=True)
     final = states[-1]

@@ -8,6 +8,15 @@ H x W view of its row, so writing to `pixels` (or to the matrix) raises
 ValueError: a dataset never changes once built. `appended` returns a new
 dataset with more records and leaves the one it was called on as it was.
 
+`appended` stores its result in a row buffer with spare capacity (half as
+many rows again), and its matrix is a leading-rows view of that buffer.
+The first dataset appended to such a dataset takes over the spare rows:
+only the new records are copied, into the rows past the receiver's own.
+A later `appended` on the same receiver, or one that does not fit, copies
+the receiver's rows and the new ones into a fresh buffer. So a chain of
+appends copies the rows it already holds only when it outgrows a buffer,
+not on every append.
+
 A manifest is one JSON object per line with keys "id" (string), "path"
 (image file relative to the manifest's directory), "label" (0 or 1), and
 optional "group" (string). The group tag exists only so evaluations can
@@ -64,13 +73,13 @@ def _check_rows(ids: list[str], labels: list, rows: np.ndarray, taken) -> None:
         seen.add(rec_id)
 
 
-def _stack(records: list[ImageRecord], height: int, width: int, taken) -> np.ndarray:
-    """Copy the records' pixels into a new len(records) x (height * width)
-    matrix, raising the DataError of the first bad record: one whose image
-    is not height x width, or one that _check_rows refuses."""
+def _stack(records: list[ImageRecord], mat: np.ndarray, height: int, width: int, taken) -> None:
+    """Copy the records' pixels into the C-contiguous len(records) x
+    (height * width) matrix `mat`, raising the DataError of the first bad
+    record: one whose image is not height x width, or one that _check_rows
+    refuses."""
     ids = [rec.id for rec in records]
     labels = [rec.label for rec in records]
-    mat = np.empty((len(records), height * width))
     rows = mat.reshape(len(records), height, width)
     for i, rec in enumerate(records):
         if rec.pixels.shape != (height, width):
@@ -81,20 +90,23 @@ def _stack(records: list[ImageRecord], height: int, width: int, taken) -> np.nda
             )
         rows[i] = rec.pixels
     _check_rows(ids, labels, mat, taken)
-    return mat
 
 
 class Dataset:
     """Ordered, dimension-consistent image records backed by one N x P matrix.
 
     Build one with from_records, from_matrix or appended; the constructor
-    itself trusts its arguments and checks nothing.
+    itself trusts its arguments and checks nothing. Its records are the
+    first len(ids) rows of `buffer`; any rows after them are the spare
+    space that the first `appended` may fill.
     """
 
-    def __init__(self, matrix: np.ndarray, height: int, width: int,
+    def __init__(self, buffer: np.ndarray, height: int, width: int,
                  ids: list[str], labels: list[int], groups: list[str | None]):
+        matrix = buffer[: len(ids)]
         matrix.flags.writeable = False
         self._matrix = matrix
+        self._spare = buffer if buffer.shape[0] > len(ids) else None
         self._labels = np.array(labels, dtype=np.float64)
         self._labels.flags.writeable = False
         self.height = height
@@ -117,6 +129,7 @@ class Dataset:
         if matrix.dtype != np.float64 or not matrix.flags.c_contiguous or matrix.shape != (len(ids), height * width):
             raise DataError(f"expected a C-contiguous float64 {len(ids)}x{height * width} matrix")
         _check_rows(ids, labels, matrix, {})
+        matrix.flags.writeable = False
         return cls(matrix, height, width, ids, labels, groups)
 
     @classmethod
@@ -126,7 +139,8 @@ class Dataset:
         if not records:
             raise DataError("dataset must be non-empty")
         h, w = records[0].pixels.shape
-        mat = _stack(records, h, w, {})
+        mat = np.empty((len(records), h * w))
+        _stack(records, mat, h, w, {})
         return cls(mat, h, w, [rec.id for rec in records], [rec.label for rec in records],
                    [rec.group for rec in records])
 
@@ -135,10 +149,18 @@ class Dataset:
 
         Only the new records are checked, and the first bad one raises what
         from_records on the whole list would. This dataset is unchanged.
+        Only the first dataset appended to this one gets its spare rows.
         """
-        new = _stack(records, self.height, self.width, self._by_id)
+        n = len(self.records)
+        total = n + len(records)
+        buffer = self._spare
+        if buffer is None or buffer.shape[0] < total:
+            buffer = np.empty((total + total // 2, self._matrix.shape[1]))
+            buffer[:n] = self._matrix
+        _stack(records, buffer[n:total], self.height, self.width, self._by_id)
+        self._spare = None
         whole = self.records + list(records)
-        return Dataset(np.concatenate([self._matrix, new]), self.height, self.width,
+        return Dataset(buffer, self.height, self.width,
                        [rec.id for rec in whole], [rec.label for rec in whole], [rec.group for rec in whole])
 
     def __len__(self) -> int:

@@ -120,6 +120,7 @@ class LoopConfig:
         check_render_settings(self.cell_px, self.alpha)
         if self.max_iterations > 0:
             self.resolved_schedule()
+        self.hyper.validate()
 
 
 @dataclass

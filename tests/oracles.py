@@ -6,8 +6,9 @@ assignment is literal python loops instead of vectorized argmin, neighbor
 search sorts (distance, index) pairs, gradients come from central finite
 differences of the loss value, and the grid render paints pixel by pixel in
 python floats. There are two exceptions. reference_optimize is the training
-loop as it was before the ceiling exit, kept unchanged so that the exit can
-be shown to leave every kept parameter byte-equal. reference_from_records is
+loop as it was before the ceiling exit, on its own copy of the fit split,
+kept so that the exit and the batches gathered by row index can be shown
+to leave every kept parameter byte-equal. reference_from_records is
 the per-record validation loop Dataset.from_records ran before a dataset
 became one matrix, kept unchanged so that the whole-matrix checks can be
 shown to raise the same error for the same first bad record.
@@ -193,11 +194,14 @@ def per_pixel_render(cells, images, failures, cell_px, alpha, anchors, empty_rgb
 def reference_optimize(w0, b0, dataset, hyper):
     """The mini-batch training loop as it ran before the ceiling exit.
 
-    A verbatim copy of `classifier._optimize` without the exit that ends
-    the loop once no epoch can beat the best stop-split accuracy, so it
-    always runs until patience or max_epochs. It also records the epoch it
-    keeps (0 = the starting parameters). Returns (model, best stop-split
-    accuracy).
+    `classifier._optimize` as it was before the exit that ends the loop
+    once no epoch can beat the best stop-split accuracy, so it always runs
+    until patience or max_epochs. It also records the epoch it keeps (0 =
+    the starting parameters). It copies the fit split into its own matrix
+    and takes each batch from that copy, where `_optimize` gathers batches
+    from the dataset matrix by row index. Its history holds (stop-split
+    loss, stop-split accuracy) per epoch, as `_optimize` records it.
+    Returns (model, best stop-split accuracy, per-epoch fit-split losses).
     """
     hyper.validate()
     labels = dataset.labels()
@@ -217,6 +221,7 @@ def reference_optimize(w0, b0, dataset, hyper):
     best_acc = accuracy_from_scores(sigmoid(stop_x @ w + b), stop_y)
     best_w, best_b, best_epoch = w.copy(), b, 0
     history = []
+    fit_losses = []
     bad_epochs = 0
 
     for epoch in range(1, hyper.max_epochs + 1):
@@ -229,9 +234,9 @@ def reference_optimize(w0, b0, dataset, hyper):
             grad_w, grad_b = loss_gradient(w, b, fit_x[batch], fit_y[batch], hyper.l2)
             w -= hyper.learning_rate * grad_w
             b -= hyper.learning_rate * grad_b
-        train_loss = loss_value(w, b, fit_x, fit_y, hyper.l2)
+        fit_losses.append(loss_value(w, b, fit_x, fit_y, hyper.l2))
         stop_acc = accuracy_from_scores(sigmoid(stop_x @ w + b), stop_y)
-        history.append((train_loss, stop_acc))
+        history.append((loss_value(w, b, stop_x, stop_y, hyper.l2), stop_acc))
         if stop_acc > best_acc + hyper.early_stop_min_delta:
             best_acc = stop_acc
             best_w, best_b, best_epoch = w.copy(), b, epoch
@@ -243,7 +248,7 @@ def reference_optimize(w0, b0, dataset, hyper):
     model = RefModel(
         weights=best_w, bias=best_b, trained_epochs=len(history), best_epoch=best_epoch, history=history
     )
-    return model, best_acc
+    return model, best_acc, fit_losses
 
 
 def reference_from_records(records):

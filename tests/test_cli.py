@@ -189,6 +189,20 @@ def test_loop_rejects_partial_manifests(tmp_path, small_cfg, capsys):
     assert "paths.pool_manifest" in err
 
 
+def test_loop_reports_a_bad_loop_setting_before_generating_the_corpus(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "bad_alpha.cfg"
+    cfg.write_text(SMALL_CORPUS_CFG + "render.alpha = 2.0\n")
+    generated = []
+    monkeypatch.setattr("biasgrid.cli.generate_corpus", lambda spec: generated.append(spec))
+    out = tmp_path / "work"
+    code = main(["--config", str(cfg), "--out-dir", str(out), "loop"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and "alpha" in err
+    assert generated == []
+    assert not (out / "runs").exists()
+
+
 def test_loop_refuses_locked_run_dir(tmp_path, small_cfg, capsys):
     out = tmp_path / "work"
     run_dir = out / "runs" / "run"

@@ -284,6 +284,64 @@ def test_appended_leaves_the_receiver_unchanged():
     assert np.shares_memory(grown.record_by_id("r07").pixels, grown.matrix())
 
 
+def assert_is_from_records_of_its_records(ds):
+    whole = Dataset.from_records(ds.records)
+    mat = ds.matrix()
+    assert mat.dtype == np.float64 and mat.flags.c_contiguous and not mat.flags.writeable
+    assert mat.tobytes() == whole.matrix().tobytes()
+    assert ds.ids() == whole.ids() and ds.groups() == whole.groups()
+    assert ds.labels().tobytes() == whole.labels().tobytes()
+
+
+def test_two_appends_onto_one_receiver_give_independent_datasets():
+    records = clean_records(12)
+    receiver = Dataset.from_records(records[:4]).appended(records[4:6])  # 6 rows, spare space
+    before = receiver.matrix().tobytes()
+    first = receiver.appended(records[6:8])
+    second = receiver.appended(records[8:11])
+    # the first takes the receiver's spare rows; the second may not write there
+    assert np.shares_memory(first.matrix(), receiver.matrix())
+    assert not np.shares_memory(second.matrix(), first.matrix())
+    assert receiver.matrix().tobytes() == before and len(receiver) == 6
+    for ds in (receiver, first, second):
+        assert_is_from_records_of_its_records(ds)
+
+
+def test_a_chain_of_appends_past_the_capacity_keeps_every_dataset():
+    records = clean_records(60)
+    chain = [Dataset.from_records(records[:3])]
+    siblings = []
+    pos = 3
+    for step in (1, 2, 5, 1, 3, 8, 2, 6, 1):
+        chain.append(chain[-1].appended(records[pos : pos + step]))
+        # a second append onto the same receiver, with records the chain takes later
+        siblings.append(chain[-2].appended(records[pos + step : pos + 2 * step]))
+        pos += step
+    shared = [np.shares_memory(a.matrix(), b.matrix()) for a, b in zip(chain, chain[1:])]
+    assert any(shared) and not all(shared)
+    for ds in chain + siblings:
+        assert_is_from_records_of_its_records(ds)
+
+
+def test_an_append_into_spare_rows_copies_only_the_new_rows():
+    rng = np.random.default_rng(0)
+    n, h, w, k = 1000, 64, 64, 50
+    base = Dataset.from_matrix(rng.random((n, h * w)), h, w, [f"b{i}" for i in range(n)],
+                               [i % 2 for i in range(n)], [None] * n)
+    new = [ImageRecord(f"n{i}", rng.random((h, w)), i % 2) for i in range(2 * k)]
+    receiver = base.appended(new[:k])  # a fresh buffer with spare rows
+    tracemalloc.start()
+    try:
+        grown = receiver.appended(new[k:])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Beyond the rows, each record costs about 0.3 KiB (ids, labels, views).
+    # Copying the receiver's matrix would add 1000 rows of 32 KiB.
+    assert peak < 2 * k * h * w * 8 + 1024 * len(grown)
+    assert_is_from_records_of_its_records(grown)
+
+
 def test_generated_and_loaded_matrices_equal_from_records_of_their_records(tmp_path):
     generated = generate_split(CorpusSpec(master_seed=3, height=16, width=20), "val", 12)
     save_dataset(generated, tmp_path / "m.jsonl")
