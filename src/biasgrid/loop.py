@@ -21,6 +21,7 @@ no decision in the loop reads them.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import shutil
@@ -109,6 +110,8 @@ class LoopConfig:
     def validate(self) -> None:
         if self.max_iterations < 0:
             raise DataError("max_iterations must be >= 0")
+        if self.k is not None and self.k < 1:
+            raise DataError("k must be at least 1")
         if self.m < 1:
             raise DataError("m must be at least 1")
         if self.convergence_min_delta < 0.0:
@@ -164,7 +167,7 @@ def _run(
     test: Dataset | None,
     cfg: LoopConfig,
     out_dir,
-    select: Callable[[int, FailureScores, np.ndarray, np.ndarray], MatchSet],
+    select: Callable[[int, FailureScores, np.ndarray, Callable[[], np.ndarray]], MatchSet],
 ) -> list[LoopState]:
     cfg.validate()
     if len(pool.records) == 0:
@@ -198,7 +201,8 @@ def _run(
 
     basis = fit(val)
     val_coords = project(basis, val)
-    pool_coords = project(basis, pool)
+    # the pool is projected on a selector's first request, and only then
+    project_pool = functools.cache(lambda: project(basis, pool))
     grid = make_grid(val_coords, cfg.grid_rows, cfg.grid_cols, ids=val.ids())
 
     sched = cfg.resolved_schedule() if cfg.max_iterations > 0 else ()
@@ -226,7 +230,7 @@ def _run(
                 sal_rel = f"iter-{t}/saliency.ppm"
                 image = render(grid, val, failures, cell_px=cfg.cell_px, alpha=cfg.alpha)
                 save_saliency(image, out_path / sal_rel)
-            ms = select(t, failures, val_coords, pool_coords)
+            ms = select(t, failures, val_coords, project_pool)
             sel, matched, mode = ms.sampled_val_ids, ms.matched_pool_ids, ms.mode
             if iter_dir is not None:
                 save_matchset(ms, iter_dir / "matchset.json")
@@ -299,11 +303,11 @@ def run_loop(
     """Targeted remediation: sample validation failures, match pool images."""
     k = cfg.resolved_k(len(val.records))
 
-    def select(t: int, failures, val_coords, pool_coords) -> MatchSet:
+    def select(t: int, failures, val_coords, project_pool) -> MatchSet:
         weights = make_weights(failures, cfg.weight_mode)
         seed = derive_seed(cfg.seed, "sample", str(t))
         chosen = sample(weights, k, seed)
-        ms = match_pool(chosen, val.ids(), val_coords, pool.ids(), pool_coords, cfg.m)
+        ms = match_pool(chosen, val.ids(), val_coords, pool.ids(), project_pool(), cfg.m)
         ms.mode = cfg.weight_mode
         ms.seed = seed
         return ms
@@ -324,7 +328,7 @@ def run_random_baseline(
     budget = k * cfg.m
     pool_ids = pool.ids()
 
-    def select(t: int, failures, val_coords, pool_coords) -> MatchSet:
+    def select(t: int, failures, val_coords, project_pool) -> MatchSet:
         return _uniform_pool_draw(pool_ids, budget, derive_seed(cfg.seed, "baseline", str(t)))
 
     return _run(train_ds, val, pool, test, cfg, out_dir, select)

@@ -20,12 +20,20 @@ orthonormal to machine precision and measures each singular value as a
 norm rather than as the root of an eigenvalue. Tall input (N > P), and
 input whose second singular value falls below GRAM_MIN_RATIO times the
 first, takes a thin SVD of C instead.
+
+The trained_on fingerprint, a SHA-256 pass over the raw matrix that no step
+of the fit reads, runs on one helper thread while the calling thread
+centers the matrix and runs the Gram product, the iteration and the SVDs.
+The two overlap because hashlib releases the GIL while it hashes a large
+buffer, and numpy releases it in BLAS products and in ufunc loops over
+large arrays.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -127,6 +135,11 @@ def _gram_top2(gram: np.ndarray) -> np.ndarray | None:
 def fit(data) -> PcaBasis:
     """Fit the rank-2 basis on a dataset or raw N x P matrix.
 
+    The fingerprint of the raw matrix is hashed on a helper thread while
+    this thread fits (see the module docstring); the thread is joined
+    before fit returns or raises, and an input refused for its shape
+    starts none.
+
     Raises NumericalError when the centered spectrum is degenerate (the
     second singular value vanishes, e.g. all images identical or collinear).
     """
@@ -136,26 +149,29 @@ def fit(data) -> PcaBasis:
         raise DataError(f"fit needs at least 3 rows, got {n}")
     if p < 2:
         raise DataError(f"fit needs at least 2 columns, got {p}")
-    centered, mean = mean_center(mat)
-    if n <= p:
-        gram = centered @ centered.T
-        u2 = _gram_top2(gram)
-        if u2 is None:
-            u2 = np.linalg.eigh(gram)[1][:, :-3:-1]
-        components, s, _ = np.linalg.svd(centered.T @ u2, full_matrices=False)
-    if n > p or s[1] < GRAM_MIN_RATIO * s[0]:
-        _, s, vt = np.linalg.svd(centered, full_matrices=False)
-        components = vt[:2].T
-    if s[1] <= DEGENERATE_TOL * max(1.0, s[0]):
-        raise NumericalError(
-            f"degenerate spectrum: second singular value {s[1]:.3e} "
-            f"(first {s[0]:.3e}); a 2-D layout is meaningless"
-        )
+    with ThreadPoolExecutor(max_workers=1) as hasher:
+        fingerprint = hasher.submit(dataset_fingerprint, mat)
+        centered, mean = mean_center(mat)
+        if n <= p:
+            gram = centered @ centered.T
+            u2 = _gram_top2(gram)
+            if u2 is None:
+                u2 = np.linalg.eigh(gram)[1][:, :-3:-1]
+            components, s, _ = np.linalg.svd(centered.T @ u2, full_matrices=False)
+        if n > p or s[1] < GRAM_MIN_RATIO * s[0]:
+            _, s, vt = np.linalg.svd(centered, full_matrices=False)
+            components = vt[:2].T
+        if s[1] <= DEGENERATE_TOL * max(1.0, s[0]):
+            raise NumericalError(
+                f"degenerate spectrum: second singular value {s[1]:.3e} "
+                f"(first {s[0]:.3e}); a 2-D layout is meaningless"
+            )
+        trained_on = fingerprint.result()
     return PcaBasis(
         mean=mean,
         components=_fix_signs(components),
         singular_values=(float(s[0]), float(s[1])),
-        trained_on=dataset_fingerprint(mat),
+        trained_on=trained_on,
     )
 
 

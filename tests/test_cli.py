@@ -190,17 +190,22 @@ def test_loop_rejects_partial_manifests(tmp_path, small_cfg, capsys):
 
 
 def test_loop_reports_a_bad_loop_setting_before_generating_the_corpus(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "bad_alpha.cfg"
-    cfg.write_text(SMALL_CORPUS_CFG + "render.alpha = 2.0\n")
     generated = []
     monkeypatch.setattr("biasgrid.cli.generate_corpus", lambda spec: generated.append(spec))
-    out = tmp_path / "work"
-    code = main(["--config", str(cfg), "--out-dir", str(out), "loop"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "config error" in err and "alpha" in err
-    assert generated == []
-    assert not (out / "runs").exists()
+    bad_settings = {
+        "render.alpha = 2.0": ("alpha", SMALL_CORPUS_CFG + "render.alpha = 2.0\n"),
+        "loop.k = 0": ("k must be at least 1", SMALL_CORPUS_CFG.replace("loop.k = 1", "loop.k = 0")),
+    }
+    for setting, (named, text) in bad_settings.items():
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "work"
+        code = main(["--config", str(cfg), "--out-dir", str(out), "loop"])
+        err = capsys.readouterr().err
+        assert code == 2, setting
+        assert "config error" in err and named in err, setting
+        assert generated == [], setting
+        assert not (out / "runs").exists(), setting
 
 
 def test_loop_refuses_locked_run_dir(tmp_path, small_cfg, capsys):

@@ -56,6 +56,9 @@ def test_config_validation():
         LoopConfig(max_iterations=2, lr_schedule=(1e-4, 0.0)).validate()
     with pytest.raises(DataError, match="m must be"):
         LoopConfig(m=0).validate()
+    with pytest.raises(DataError, match="k must be at least 1"):
+        LoopConfig(k=0).validate()
+    LoopConfig(k=None).validate()  # the default k is resolved from the validation set
     with pytest.raises(DataError, match="k must be"):
         LoopConfig(k=0).resolved_k(100)
     assert LoopConfig().resolved_k(36) == 4  # ceil(0.1 * 36)
@@ -83,7 +86,7 @@ def test_unknown_weight_mode_fails_before_any_output(small_corpus, tmp_path, set
 def select_every_other(pool):
     """A selector that matches three pool images on even iterations and none on odd ones."""
 
-    def select(t, failures, val_coords, pool_coords):
+    def select(t, failures, val_coords, project_pool):
         matched = pool.ids()[:3] if t % 2 == 0 else []
         return MatchSet(sampled_val_ids=[], matched_pool_ids=matched, matches=[], mode="alt", seed=t)
 
@@ -119,6 +122,25 @@ def test_each_trained_model_is_scored_once(small_corpus, monkeypatch, arm):
     assert len(states) == 5
     assert calls["fine_tune"] >= 2
     assert calls["predict_dataset"] == 1 + calls["fine_tune"]
+
+
+@pytest.mark.parametrize("arm, projections", [("targeted", 2), ("random", 1)])
+def test_pool_is_projected_only_for_a_selector_that_reads_it(small_corpus, monkeypatch, arm, projections):
+    # the validation set is projected once per run; the pool once, on the
+    # targeted selector's first request, and never for the random arm
+    calls = []
+    original = biasgrid.loop.project
+
+    def counted(basis, data):
+        calls.append(len(data))
+        return original(basis, data)
+
+    monkeypatch.setattr(biasgrid.loop, "project", counted)
+    train_ds, val, pool = small_corpus
+    runner = run_loop if arm == "targeted" else run_random_baseline
+    states = runner(train_ds, val, pool, cfg=small_cfg(max_iterations=3, convergence_patience=10))
+    assert len(states) == 4
+    assert calls == [len(val), len(pool)][:projections]
 
 
 def test_group_accuracy_by_tag():

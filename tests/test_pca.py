@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -173,6 +174,41 @@ def test_fit_accepts_datasets_and_matrices_equally():
     b = fit(imgs.reshape(10, 20))
     assert np.array_equal(a.components, b.components)
     assert a.trained_on == b.trained_on
+
+
+@pytest.mark.parametrize("layout", ["c-order", "fortran-order", "strided-view", "dataset"])
+def test_fit_records_the_fingerprint_of_the_raw_matrix(layout):
+    # the fingerprint is hashed on a helper thread; it must still be that of
+    # the input as given, whatever its layout, not of the centered copy
+    base = np.random.default_rng(19).random((14, 22))
+    data = {
+        "c-order": base[:9, :11].copy(),
+        "fortran-order": np.asfortranarray(base[:9, :11]),
+        "strided-view": base[::2, ::2],
+        "dataset": Dataset.from_records(
+            [ImageRecord(f"r{i}", base[i].reshape(2, 11), i % 2) for i in range(14)]
+        ),
+    }[layout]
+    assert fit(data).trained_on == dataset_fingerprint(data)
+
+
+@pytest.mark.parametrize(
+    "mat, error",
+    [
+        (np.random.default_rng(20).normal(size=(12, 30)), None),
+        (np.ones((12, 30)), NumericalError),
+        (np.random.default_rng(20).normal(size=(2, 30)), DataError),
+    ],
+    ids=["fits", "identical-rows", "two-rows"],
+)
+def test_fit_leaves_no_thread_running(mat, error):
+    before = threading.active_count()
+    if error is None:
+        fit(mat)
+    else:
+        with pytest.raises(error):
+            fit(mat)
+    assert threading.active_count() == before
 
 
 def test_fit_input_validation():
