@@ -25,7 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from repeat import seeds  # noqa: E402
 
-TRACED = ("pca.fit.s", "pca.project.s", "pca.project.rows")
+TRACED = ("cli.self.s", "dataset.load_manifest.s", "saliency.render.s")
 
 
 def run(side: str, checkout: Path, spec: dict, workload: str, seed: int, trace: int) -> dict:

@@ -1,10 +1,11 @@
-"""Binary classifier contract and the linear reference implementation.
+"""The reference classifier: training, fine-tuning, scoring, model files.
 
-The contract any classifier must honor: a deterministic sigmoid score in
-[0, 1] per image, trainable from scratch or fine-tunable from existing
-parameters. The reference model is logistic regression on raw pixels
-trained by mini-batch gradient descent on binary cross-entropy with an L2
-penalty, with accuracy-plateau early stopping on a stop split carved from
+RefModel, logistic regression on raw pixels, is the one classifier: the
+loop, the train subcommand and visualize all score, train and fine-tune
+with it. Its score is a deterministic sigmoid in [0, 1] per image. It is
+trained from scratch or fine-tuned from existing parameters by mini-batch
+gradient descent on binary cross-entropy with an L2 penalty, with
+accuracy-plateau early stopping on a stop split carved from
 the training data (the bias-measurement validation set is never used for
 stopping). A training call also ends as soon as the best stop-split
 accuracy plus early_stop_min_delta reaches 1.0, because no later epoch

@@ -2,8 +2,11 @@
 
 Subcommands: synth, fit-pca, train, visualize, loop. Every run is driven
 by a flat key = value config file plus flag overrides; all randomness
-flows from the single seed in that config. Exit codes: 0 success, 2
-config error, 3 data error, 4 numerical error.
+flows from the single seed in that config. Each override flag sets one
+config key (its argparse dest), and the whole config is checked before
+any file is read or written, so an out-of-range setting exits 2 under
+every subcommand. Exit codes: 0 success, 2 config error, 3 data error,
+4 numerical error.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .classifier import load_model, save_model, train
-from .config import RunConfig, default_config, load_config
+from .config import SCHEMA, RunConfig, default_config, load_config
 from .dataset import load_manifest, save_dataset
 from .errors import BiasgridError, ConfigError, DataError, NumericalError
 from .grid import make_grid
@@ -39,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", type=Path, help="path to a key = value config file")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--out-dir", type=Path, help="override the output directory")
+    parser.add_argument("--out-dir", dest="paths.out_dir", type=Path, help="override the output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate the synthetic face corpus")
@@ -60,10 +63,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_vis.add_argument("--basis", type=Path, required=True, help="PCA basis file")
     p_vis.add_argument("--model", type=Path, required=True, help="classifier model file")
     p_vis.add_argument("--out", type=Path, required=True, help="output image (PPM)")
-    p_vis.add_argument("--rows", type=int, help="grid rows (default: floor(sqrt(N)))")
-    p_vis.add_argument("--cols", type=int, help="grid cols (default: floor(sqrt(N)))")
-    p_vis.add_argument("--cell-px", type=int, help="cell size in pixels")
-    p_vis.add_argument("--alpha", type=float, help="overlay opacity in [0, 1]")
+    p_vis.add_argument("--rows", dest="grid.rows", type=int, help="grid rows (default: floor(sqrt(N)))")
+    p_vis.add_argument("--cols", dest="grid.cols", type=int, help="grid cols (default: floor(sqrt(N)))")
+    p_vis.add_argument("--cell-px", dest="render.cell_px", type=int, help="cell size in pixels")
+    p_vis.add_argument("--alpha", dest="render.alpha", type=float, help="overlay opacity in [0, 1]")
     p_vis.add_argument("--sidecar", type=Path, help="also write a cell -> score JSON map here")
     p_vis.set_defaults(func=cmd_visualize)
 
@@ -76,21 +79,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_loop.add_argument(
         "--weight-mode",
+        dest="loop.weight_mode",
         choices=WEIGHT_MODES,
         help="sampling weights: toward high failure (failure) or low (success)",
     )
-    p_loop.add_argument("--run-name", help="run directory name under <out-dir>/runs/")
+    p_loop.add_argument("--run-name", dest="run.name", help="run directory name under <out-dir>/runs/")
     p_loop.set_defaults(func=cmd_loop)
 
     return parser
 
 
 def _load_run_config(args) -> RunConfig:
+    """The config file (or the defaults) with every given flag applied, checked whole."""
     cfg = load_config(args.config) if args.config is not None else default_config()
-    if args.seed is not None:
-        cfg.override("seed", args.seed)
-    if args.out_dir is not None:
-        cfg.override("paths.out_dir", args.out_dir.resolve())
+    for key, value in vars(args).items():
+        if key in SCHEMA and value is not None:
+            cfg.override(key, value.resolve() if SCHEMA[key][0] == "path" else value)
+    cfg.validate()
     return cfg
 
 
@@ -145,11 +150,9 @@ def cmd_visualize(args) -> int:
     basis = load_basis(args.basis)
     model = load_model(args.model)
     coords = project(basis, ds)
-    grid = make_grid(coords, args.rows, args.cols, ids=ds.ids())
+    grid = make_grid(coords, cfg["grid.rows"], cfg["grid.cols"], ids=ds.ids())
     failures = compute_failures(model, ds)
-    cell_px = args.cell_px if args.cell_px is not None else cfg["render.cell_px"]
-    alpha = args.alpha if args.alpha is not None else cfg["render.alpha"]
-    image = render(grid, ds, failures, cell_px=cell_px, alpha=alpha)
+    image = render(grid, ds, failures, cell_px=cfg["render.cell_px"], alpha=cfg["render.alpha"])
     out = _resolve_out(cfg, args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_saliency(image, out)
@@ -163,15 +166,7 @@ def cmd_visualize(args) -> int:
 
 def cmd_loop(args) -> int:
     cfg = _load_run_config(args)
-    if args.weight_mode is not None:
-        cfg.override("loop.weight_mode", args.weight_mode)
-    if args.run_name is not None:
-        cfg.override("run.name", args.run_name)
     loop_cfg = cfg.loop_config()
-    try:
-        loop_cfg.validate()
-    except DataError as exc:
-        raise ConfigError(str(exc)) from None
     manifest_keys = ("paths.train_manifest", "paths.val_manifest", "paths.pool_manifest")
     given = [k for k in manifest_keys if cfg[k] is not None]
     if not given:

@@ -6,6 +6,13 @@ dotted and flat (no sections), values are typed against a fixed schema,
 unknown keys are rejected with their line number, and every path value is
 resolved relative to the directory containing the config file.
 
+Each corpus, train, loop, render and grid key is owned by one dataclass
+field (OWNED), and that field's default is the key's default; only seed,
+run.name and paths.* have defaults written here. Each CLI override flag
+sets one of these keys. RunConfig.validate checks every setting at once
+and reports an out-of-range value as a ConfigError, which the CLI turns
+into exit 2 before any file is read or written.
+
 Example:
 
     seed = 7
@@ -19,45 +26,55 @@ Example:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
 from .classifier import TrainHyper
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .loop import LoopConfig
 from .synth import CorpusSpec
+
+# key -> (type tag, owner dataclass, field) for every key a dataclass owns.
+OWNED: dict[str, tuple[str, type, str]] = {
+    "corpus.n_train": ("int", CorpusSpec, "n_train"),
+    "corpus.n_val": ("int", CorpusSpec, "n_val"),
+    "corpus.n_pool": ("int", CorpusSpec, "n_pool"),
+    "corpus.train_complexion_mix": ("float", CorpusSpec, "train_complexion_mix"),
+    "corpus.noise_sigma": ("float", CorpusSpec, "noise_sigma"),
+    "corpus.height": ("int", CorpusSpec, "height"),
+    "corpus.width": ("int", CorpusSpec, "width"),
+    "train.learning_rate": ("float", TrainHyper, "learning_rate"),
+    "train.max_epochs": ("int", TrainHyper, "max_epochs"),
+    "train.batch_size": ("int", TrainHyper, "batch_size"),
+    "train.l2": ("float", TrainHyper, "l2"),
+    "train.early_stop_patience": ("int", TrainHyper, "early_stop_patience"),
+    "train.early_stop_min_delta": ("float", TrainHyper, "early_stop_min_delta"),
+    "train.val_fraction": ("float", TrainHyper, "val_fraction"),
+    "loop.max_iterations": ("int", LoopConfig, "max_iterations"),
+    "loop.lr_schedule": ("float_list", LoopConfig, "lr_schedule"),
+    "loop.k": ("int", LoopConfig, "k"),
+    "loop.m": ("int", LoopConfig, "m"),
+    "loop.convergence_min_delta": ("float", LoopConfig, "convergence_min_delta"),
+    "loop.convergence_patience": ("int", LoopConfig, "convergence_patience"),
+    "loop.weight_mode": ("str", LoopConfig, "weight_mode"),
+    "render.cell_px": ("int", LoopConfig, "cell_px"),
+    "render.alpha": ("float", LoopConfig, "alpha"),
+    "grid.rows": ("int", LoopConfig, "grid_rows"),
+    "grid.cols": ("int", LoopConfig, "grid_cols"),
+}
+
+
+def _field_default(owner: type, name: str):
+    return next(f.default for f in fields(owner) if f.name == name)
+
 
 # key -> (type tag, default). Type tags: int, float, str, path,
 # float_list (comma separated). Defaults of None mean "absent".
 SCHEMA: dict[str, tuple[str, Any]] = {
     "seed": ("int", 0),
     "run.name": ("str", "run"),
-    "corpus.n_train": ("int", 1000),
-    "corpus.n_val": ("int", 300),
-    "corpus.n_pool": ("int", 1200),
-    "corpus.train_complexion_mix": ("float", 0.95),
-    "corpus.noise_sigma": ("float", 0.10),
-    "corpus.height": ("int", 64),
-    "corpus.width": ("int", 64),
-    "train.learning_rate": ("float", 0.05),
-    "train.max_epochs": ("int", 200),
-    "train.batch_size": ("int", 32),
-    "train.l2": ("float", 1e-4),
-    "train.early_stop_patience": ("int", 25),
-    "train.early_stop_min_delta": ("float", 0.0),
-    "train.val_fraction": ("float", 0.1),
-    "loop.max_iterations": ("int", 7),
-    "loop.lr_schedule": ("float_list", None),
-    "loop.k": ("int", None),
-    "loop.m": ("int", 5),
-    "loop.convergence_min_delta": ("float", 0.002),
-    "loop.convergence_patience": ("int", 2),
-    "loop.weight_mode": ("str", "failure"),
-    "render.cell_px": ("int", 32),
-    "render.alpha": ("float", 0.4),
-    "grid.rows": ("int", None),
-    "grid.cols": ("int", None),
+    **{key: (kind, _field_default(owner, name)) for key, (kind, owner, name) in OWNED.items()},
     "paths.out_dir": ("path", "."),
     "paths.train_manifest": ("path", None),
     "paths.val_manifest": ("path", None),
@@ -103,46 +120,25 @@ class RunConfig:
             raise ConfigError(f"unknown config key '{key}'")
         self.values[key] = value
 
+    def _build(self, owner: type, **extra):
+        return owner(**{name: self[key] for key, (_, o, name) in OWNED.items() if o is owner}, **extra)
+
     def corpus_spec(self) -> CorpusSpec:
-        return CorpusSpec(
-            n_train=self["corpus.n_train"],
-            n_val=self["corpus.n_val"],
-            n_pool=self["corpus.n_pool"],
-            train_complexion_mix=self["corpus.train_complexion_mix"],
-            noise_sigma=self["corpus.noise_sigma"],
-            master_seed=self["seed"],
-            height=self["corpus.height"],
-            width=self["corpus.width"],
-        )
+        return self._build(CorpusSpec, master_seed=self["seed"])
 
     def train_hyper(self, seed: int | None = None) -> TrainHyper:
-        return TrainHyper(
-            learning_rate=self["train.learning_rate"],
-            max_epochs=self["train.max_epochs"],
-            batch_size=self["train.batch_size"],
-            l2=self["train.l2"],
-            early_stop_patience=self["train.early_stop_patience"],
-            early_stop_min_delta=self["train.early_stop_min_delta"],
-            seed=self["seed"] if seed is None else seed,
-            val_fraction=self["train.val_fraction"],
-        )
+        return self._build(TrainHyper, seed=self["seed"] if seed is None else seed)
 
     def loop_config(self) -> LoopConfig:
-        return LoopConfig(
-            max_iterations=self["loop.max_iterations"],
-            lr_schedule=self["loop.lr_schedule"],
-            k=self["loop.k"],
-            m=self["loop.m"],
-            convergence_min_delta=self["loop.convergence_min_delta"],
-            convergence_patience=self["loop.convergence_patience"],
-            seed=self["seed"],
-            weight_mode=self["loop.weight_mode"],
-            hyper=self.train_hyper(),
-            cell_px=self["render.cell_px"],
-            alpha=self["render.alpha"],
-            grid_rows=self["grid.rows"],
-            grid_cols=self["grid.cols"],
-        )
+        return self._build(LoopConfig, seed=self["seed"], hyper=self.train_hyper())
+
+    def validate(self) -> None:
+        """Check every corpus, train, loop, render and grid setting's range."""
+        try:
+            self.corpus_spec().validate()
+            self.loop_config().validate()
+        except DataError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def default_config() -> RunConfig:

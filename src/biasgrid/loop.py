@@ -120,6 +120,8 @@ class LoopConfig:
             raise DataError("convergence_patience must be >= 1")
         if self.weight_mode not in WEIGHT_MODES:
             raise DataError(f"unknown weight mode '{self.weight_mode}' (expected one of {WEIGHT_MODES})")
+        if any(n is not None and n < 1 for n in (self.grid_rows, self.grid_cols)):
+            raise DataError("rows and cols must be >= 1")
         check_render_settings(self.cell_px, self.alpha)
         if self.max_iterations > 0:
             self.resolved_schedule()

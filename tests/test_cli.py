@@ -195,6 +195,7 @@ def test_loop_reports_a_bad_loop_setting_before_generating_the_corpus(tmp_path, 
     bad_settings = {
         "render.alpha = 2.0": ("alpha", SMALL_CORPUS_CFG + "render.alpha = 2.0\n"),
         "loop.k = 0": ("k must be at least 1", SMALL_CORPUS_CFG.replace("loop.k = 1", "loop.k = 0")),
+        "grid.rows = 0": ("rows and cols must be >= 1", SMALL_CORPUS_CFG + "grid.rows = 0\n"),
     }
     for setting, (named, text) in bad_settings.items():
         cfg = tmp_path / "bad.cfg"
@@ -206,6 +207,53 @@ def test_loop_reports_a_bad_loop_setting_before_generating_the_corpus(tmp_path, 
         assert "config error" in err and named in err, setting
         assert generated == [], setting
         assert not (out / "runs").exists(), setting
+
+
+@pytest.mark.parametrize(
+    "setting, argv, named",
+    [
+        ("corpus.n_train = 0\n", ["synth"], "corpus split sizes"),
+        ("loop.k = 0\n", ["fit-pca", "--manifest", "val.jsonl", "--out", "basis.json"], "k must be"),
+        ("train.learning_rate = -1\n", ["train", "--manifest", "t.jsonl", "--out-model", "m.json"],
+         "learning_rate"),
+        ("", ["visualize", "--manifest", "v.jsonl", "--basis", "b.json", "--model", "m.json",
+              "--out", "g.ppm", "--cell-px", "2"], "cell_px"),
+        ("grid.rows = 0\n", ["loop"], "rows and cols"),
+    ],
+    ids=["synth", "fit-pca", "train", "visualize", "loop"],
+)
+def test_an_out_of_range_setting_exits_two_before_any_file_is_touched(
+    tmp_path, capsys, monkeypatch, setting, argv, named
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("input read before the config was checked")
+
+    for name in ("load_manifest", "load_basis", "load_model", "generate_corpus"):
+        monkeypatch.setattr(f"biasgrid.cli.{name}", refuse)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(setting)
+    out = tmp_path / "out"
+    code = main(["--config", str(cfg), "--out-dir", str(out), *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and named in err
+    assert not out.exists()
+
+
+def test_visualize_takes_the_grid_shape_from_the_config_and_flags(tmp_path, small_cfg, capsys):
+    out = run_synth(tmp_path, small_cfg)
+    main(["--out-dir", str(out), "fit-pca", "--manifest", str(out / "val.jsonl"), "--out", "basis.json"])
+    main(["--out-dir", str(out), "train", "--manifest", str(out / "train.jsonl"), "--out-model", "model.json"])
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("grid.rows = 2\ngrid.cols = 5\n")
+    show = ["--config", str(cfg), "--out-dir", str(out), "visualize", "--manifest", str(out / "val.jsonl"),
+            "--basis", str(out / "basis.json"), "--model", str(out / "model.json"), "--out", "grid.ppm",
+            "--sidecar", "grid.json"]
+    for flags, shape in (([], (2, 5)), (["--rows", "3"], (3, 5))):
+        assert main([*show, *flags]) == 0
+        sidecar = json.loads((out / "grid.json").read_text())
+        assert (sidecar["rows"], sidecar["cols"]) == shape
+    capsys.readouterr()
 
 
 def test_loop_refuses_locked_run_dir(tmp_path, small_cfg, capsys):

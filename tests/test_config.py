@@ -1,11 +1,14 @@
 """Flat key = value config files: parsing, typing, path resolution."""
 
+from dataclasses import asdict
+
 import pytest
 
 from biasgrid.classifier import TrainHyper
-from biasgrid.config import SCHEMA, default_config, load_config
+from biasgrid.config import OWNED, SCHEMA, default_config, load_config
 from biasgrid.errors import ConfigError
 from biasgrid.loop import LoopConfig
+from biasgrid.sampler import WEIGHT_MODES
 from biasgrid.synth import CorpusSpec
 
 
@@ -20,6 +23,33 @@ def test_defaults_mirror_the_dataclass_defaults():
     assert cfg.corpus_spec() == CorpusSpec()
     assert cfg.train_hyper() == TrainHyper()
     assert cfg.loop_config() == LoopConfig()
+
+
+def _other_value(kind, default):
+    """A value of the given kind that differs from default."""
+    if kind == "int":
+        return 3 if default is None else default + 1
+    if kind == "float":
+        return default / 2 if default else 0.5
+    if kind == "float_list":
+        return (1e-3, 1e-4)
+    return next(mode for mode in WEIGHT_MODES if mode != default)
+
+
+BUILDERS = {CorpusSpec: "corpus_spec", TrainHyper: "train_hyper", LoopConfig: "loop_config"}
+
+
+@pytest.mark.parametrize("key", sorted(OWNED))
+def test_each_owned_key_sets_its_own_field_and_no_other(key):
+    kind, owner, name = OWNED[key]
+    # the key names its field: corpus.n_val -> n_val, grid.rows -> grid_rows
+    assert key.replace(".", "_").endswith(name)
+    value = _other_value(kind, SCHEMA[key][1])
+    cfg = default_config()
+    cfg.override(key, value)
+    before = asdict(getattr(default_config(), BUILDERS[owner])())
+    after = asdict(getattr(cfg, BUILDERS[owner])())
+    assert {f: v for f, v in after.items() if v != before[f]} == {name: value}
 
 
 def test_parse_types_comments_and_blank_lines(tmp_path):
