@@ -11,7 +11,8 @@ Each result is read from the last line run.py prints. The workload's entry
 in --out (other workloads' entries are kept) holds, per side, the median
 and quartiles of each end-to-end metric, the number of pairs the change
 won, the share of failed operations, and every traced layer metric per
-seed. Progress lines print the layer metrics in TRACED.
+seed. Progress lines print the layer metrics in TRACED, and each untraced
+pair's setup_s on both sides.
 """
 
 import argparse
@@ -25,7 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from repeat import seeds  # noqa: E402
 
-TRACED = ("cli.self.s", "dataset.load_manifest.s", "saliency.render.s")
+TRACED = ("synth.generate_split.s", "saliency.render.s", "loop.self.s")
 
 
 def run(side: str, checkout: Path, spec: dict, workload: str, seed: int, trace: int) -> dict:
@@ -57,8 +58,13 @@ def main() -> int:
 
     def alternating(seed_list: list[int], trace: int) -> list[dict]:
         orders = (("parent", "change"), ("change", "parent"))
-        return [{side: run(side, sides[side], spec, args.workload, seed, trace) for side in orders[i % 2]}
-                for i, seed in enumerate(seed_list)]
+        pairs = []
+        for i, seed in enumerate(seed_list):
+            pairs.append({side: run(side, sides[side], spec, args.workload, seed, trace) for side in orders[i % 2]})
+            if not trace:
+                print(f"seed {seed} setup_s: " + " ".join(
+                    f"{side}={pairs[-1][side]['metrics']['setup_s']['value']:.3f}" for side in sides), flush=True)
+        return pairs
 
     pairs = alternating(args.seeds, 0)
     traced = alternating(args.traced_seeds, 1)

@@ -5,17 +5,18 @@ image flattened row-major into one row. The matrix is C-contiguous and
 read-only, and `matrix()` returns it without copying; labels are a stored
 read-only float64 array beside it. Each record's `pixels` is a read-only
 H x W view of its row, so writing to `pixels` (or to the matrix) raises
-ValueError: a dataset never changes once built. `appended` returns a new
-dataset with more records and leaves the one it was called on as it was.
+ValueError: a dataset never changes once built. Every way to build one
+checks what it adds, so nothing checks a built dataset's rows again.
 
-`appended` stores its result in a row buffer with spare capacity (half as
-many rows again), and its matrix is a leading-rows view of that buffer.
-The first dataset appended to such a dataset takes over the spare rows:
-only the new records are copied, into the rows past the receiver's own.
-A later `appended` on the same receiver, or one that does not fit, copies
-the receiver's rows and the new ones into a fresh buffer. So a chain of
-appends copies the rows it already holds only when it outgrows a buffer,
-not on every append.
+Rows move by position, in blocks; no API looks a record up by id.
+`take(indices)` copies those rows into a new dataset. `appended(rows)`
+adds the rows of the Dataset `rows` after this one's, refusing another
+image size or an id already held. It writes into a row buffer with spare
+capacity (half as many rows again); the first dataset appended to a
+receiver takes over its spare rows, so only the new rows are copied. A
+later `appended` on the same receiver, or one that does not fit, copies
+both into a fresh buffer: a chain of appends copies the rows it holds
+only when it outgrows a buffer.
 
 A manifest is one JSON object per line with keys "id" (string), "path"
 (image file relative to the manifest's directory), "label" (0 or 1), and
@@ -49,20 +50,20 @@ def _bad_label(label) -> bool:
     return isinstance(label, (bool, np.bool_)) or label not in (0, 1)
 
 
-def _check_rows(ids: list[str], labels: list, rows: np.ndarray, taken) -> None:
+def _check_rows(ids: list[str], labels: list, rows: np.ndarray) -> None:
     """Raise the DataError of the first bad record, in record order.
 
-    Within a record the checks run in this order: its id repeats one in
-    `taken` or an earlier record's; its label is not 0 or 1 (bools are
-    refused); its row of `rows` holds a non-finite value; or a value
-    outside [0, 1]. The pixel checks are two reductions over all rows.
+    Within a record the checks run in this order: its id repeats an
+    earlier record's; its label is not 0 or 1 (bools are refused); its row
+    of `rows` holds a non-finite value; or a value outside [0, 1]. The
+    pixel checks are two reductions over all rows.
     """
     lo, hi = rows.min(axis=1), rows.max(axis=1)
     finite = np.isfinite(lo) & np.isfinite(hi)
     bad_pixels = (~finite | (lo < 0.0) | (hi > 1.0)).tolist()  # NaN compares False
     seen: set[str] = set()
     for i, (rec_id, label) in enumerate(zip(ids, labels)):
-        if rec_id in taken or rec_id in seen:
+        if rec_id in seen:
             raise DataError(f"duplicate id '{rec_id}'")
         if _bad_label(label):
             raise DataError(f"id '{rec_id}': label must be 0 or 1, got {label!r}")
@@ -73,32 +74,17 @@ def _check_rows(ids: list[str], labels: list, rows: np.ndarray, taken) -> None:
         seen.add(rec_id)
 
 
-def _stack(records: list[ImageRecord], mat: np.ndarray, height: int, width: int, taken) -> None:
-    """Copy the records' pixels into the C-contiguous len(records) x
-    (height * width) matrix `mat`, raising the DataError of the first bad
-    record: one whose image is not height x width, or one that _check_rows
-    refuses."""
-    ids = [rec.id for rec in records]
-    labels = [rec.label for rec in records]
-    rows = mat.reshape(len(records), height, width)
-    for i, rec in enumerate(records):
-        if rec.pixels.shape != (height, width):
-            _check_rows(ids[:i], labels[:i], mat[:i], taken)
-            raise DataError(
-                f"dimension mismatch for id '{rec.id}': "
-                f"{rec.pixels.shape[0]}x{rec.pixels.shape[1]} vs expected {height}x{width}"
-            )
-        rows[i] = rec.pixels
-    _check_rows(ids, labels, mat, taken)
+def _size_mismatch(rec_id: str, shape: tuple[int, int], height: int, width: int) -> DataError:
+    return DataError(f"dimension mismatch for id '{rec_id}': {shape[0]}x{shape[1]} vs expected {height}x{width}")
 
 
 class Dataset:
     """Ordered, dimension-consistent image records backed by one N x P matrix.
 
-    Build one with from_records, from_matrix or appended; the constructor
-    itself trusts its arguments and checks nothing. Its records are the
-    first len(ids) rows of `buffer`; any rows after them are the spare
-    space that the first `appended` may fill.
+    Build one with from_records, from_matrix, take or appended; the
+    constructor itself trusts its arguments and checks nothing. Its
+    records are the first len(ids) rows of `buffer`; any rows after them
+    are the spare space that the first `appended` may fill.
     """
 
     def __init__(self, buffer: np.ndarray, height: int, width: int,
@@ -116,7 +102,6 @@ class Dataset:
             ImageRecord(id=rec_id, pixels=views[i], label=int(label), group=group)
             for i, (rec_id, label, group) in enumerate(zip(ids, labels, groups))
         ]
-        self._by_id = {rec.id: rec for rec in self.records}
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, height: int, width: int,
@@ -128,38 +113,59 @@ class Dataset:
             raise DataError("dataset must be non-empty")
         if matrix.dtype != np.float64 or not matrix.flags.c_contiguous or matrix.shape != (len(ids), height * width):
             raise DataError(f"expected a C-contiguous float64 {len(ids)}x{height * width} matrix")
-        _check_rows(ids, labels, matrix, {})
+        _check_rows(ids, labels, matrix)
         matrix.flags.writeable = False
         return cls(matrix, height, width, ids, labels, groups)
 
     @classmethod
     def from_records(cls, records: list[ImageRecord]) -> "Dataset":
-        """Stack the records' pixels once into a new dataset; the first bad
-        record, in order, raises a DataError."""
+        """Stack the records' pixels once into a new dataset. The first bad
+        record, in order, raises a DataError: one whose image is not the
+        first record's size, or one that _check_rows refuses."""
         if not records:
             raise DataError("dataset must be non-empty")
         h, w = records[0].pixels.shape
+        ids = [rec.id for rec in records]
+        labels = [rec.label for rec in records]
         mat = np.empty((len(records), h * w))
-        _stack(records, mat, h, w, {})
-        return cls(mat, h, w, [rec.id for rec in records], [rec.label for rec in records],
-                   [rec.group for rec in records])
+        rows = mat.reshape(len(records), h, w)
+        for i, rec in enumerate(records):
+            if rec.pixels.shape != (h, w):
+                _check_rows(ids[:i], labels[:i], mat[:i])
+                raise _size_mismatch(rec.id, rec.pixels.shape, h, w)
+            rows[i] = rec.pixels
+        _check_rows(ids, labels, mat)
+        return cls(mat, h, w, ids, labels, [rec.group for rec in records])
 
-    def appended(self, records: list[ImageRecord]) -> "Dataset":
-        """A new dataset: this one's records, then `records`.
+    def take(self, indices) -> "Dataset":
+        """A new dataset of the rows at `indices`, in that order, copied out
+        of the matrix as one block; a repeated index raises a DataError."""
+        idx = np.asarray(indices, dtype=np.intp)
+        if len(set(idx.tolist())) != len(idx):
+            raise DataError("take: repeated row index")
+        picked = [self.records[i] for i in idx]
+        return Dataset(self._matrix[idx], self.height, self.width, [rec.id for rec in picked],
+                       [rec.label for rec in picked], [rec.group for rec in picked])
 
-        Only the new records are checked, and the first bad one raises what
-        from_records on the whole list would. This dataset is unchanged.
-        Only the first dataset appended to this one gets its spare rows.
-        """
+    def appended(self, rows: "Dataset") -> "Dataset":
+        """A new dataset: this one's records, then those of `rows`. Rows of
+        another image size or with an id this dataset holds raise a
+        DataError. This dataset is unchanged either way."""
+        if len(rows) and (rows.height, rows.width) != (self.height, self.width):
+            raise _size_mismatch(rows.records[0].id, (rows.height, rows.width), self.height, self.width)
+        held = set(self.ids())
+        for rec_id in rows.ids():
+            if rec_id in held:
+                raise DataError(f"duplicate id '{rec_id}'")
         n = len(self.records)
-        total = n + len(records)
+        total = n + len(rows)
         buffer = self._spare
         if buffer is None or buffer.shape[0] < total:
             buffer = np.empty((total + total // 2, self._matrix.shape[1]))
             buffer[:n] = self._matrix
-        _stack(records, buffer[n:total], self.height, self.width, self._by_id)
+        buffer[n:total] = rows.matrix()
         self._spare = None
-        whole = self.records + list(records)
+        whole = self.records + rows.records
         return Dataset(buffer, self.height, self.width,
                        [rec.id for rec in whole], [rec.label for rec in whole], [rec.group for rec in whole])
 
@@ -168,12 +174,6 @@ class Dataset:
 
     def ids(self) -> list[str]:
         return [rec.id for rec in self.records]
-
-    def record_by_id(self, rec_id: str) -> ImageRecord:
-        try:
-            return self._by_id[rec_id]
-        except KeyError:
-            raise DataError(f"no record with id '{rec_id}'") from None
 
     def matrix(self) -> np.ndarray:
         """The stored N x P image matrix (row-major flattening), read-only."""
@@ -237,10 +237,7 @@ def load_manifest(path) -> Dataset:
             mat = np.empty((len(lines), h * w))
             rows = mat.reshape(len(lines), h, w)
         elif pixels.shape != (h, w):
-            raise DataError(
-                f"dimension mismatch for id '{rec_id}': "
-                f"{pixels.shape[0]}x{pixels.shape[1]} vs expected {h}x{w}"
-            )
+            raise _size_mismatch(rec_id, pixels.shape, h, w)
         rows[len(ids)] = pixels
         ids.append(rec_id)
         labels.append(int(label))

@@ -1,19 +1,19 @@
-"""The iterative remediation loop: train, locate failures, sample, match,
+"""The iterative remediation loop: train, locate failures, select rows,
 fine-tune, repeat.
 
 Iteration 0 trains the base model on the original training set. Each later
 iteration renders the similarity grid with the current model's failure
-overlay, samples hard validation images in proportion to their failure
-scores, matches them to nearby augmentation pool images in projection
-space, appends the matched records to the working training set, and
-fine-tunes at that iteration's learning rate. Each trained model scores
-the validation set once, and those scores serve its record and the next
-iteration; a model that no fine-tune replaced keeps its scores.
-The loop stops on a validation-accuracy plateau or after max_iterations.
+overlay, asks a selector for (MatchSet, Dataset), the audit record saved
+as matchset.json and the rows to add, appends the rows the working set
+lacks, and fine-tunes at that iteration's learning rate. Rows may come
+from anywhere but the validation and test sets. Each trained model scores
+the validation set once, for its record and the next iteration, and a
+model no fine-tune replaced keeps its scores. The loop stops on a
+validation-accuracy plateau or after max_iterations.
 
-A random-selection control arm (run_random_baseline) draws the same
-per-iteration budget of pool images uniformly instead of by matching, so
-targeted and random augmentation can be compared on equal footing.
+The targeted arm (run_loop) takes the pool images nearest to validation
+images drawn by failure score. The control arm (run_random_baseline) draws
+the same budget of pool images uniformly, for comparison on equal footing.
 
 Subgroup tags on records are used for reporting per-group accuracy only;
 no decision in the loop reads them.
@@ -27,7 +27,7 @@ import math
 import shutil
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -155,11 +155,12 @@ def group_accuracy(dataset: Dataset, scores: np.ndarray) -> dict[str, float]:
     return out
 
 
-def _uniform_pool_draw(pool_ids: Sequence[str], count: int, seed: int) -> MatchSet:
+def _uniform_pool_draw(pool: Dataset, count: int, seed: int) -> tuple[MatchSet, Dataset]:
     """Control arm: count uniform draws (with replacement), deduplicated in draw order."""
-    idx = make_rng(seed).integers(0, len(pool_ids), size=count)
-    matched = list(dict.fromkeys(pool_ids[int(i)] for i in idx))
-    return MatchSet(sampled_val_ids=[], matched_pool_ids=matched, matches=[], mode="random", seed=seed)
+    idx = make_rng(seed).integers(0, len(pool), size=count)
+    rows = pool.take(list(dict.fromkeys(idx.tolist())))
+    ms = MatchSet(sampled_val_ids=[], matched_pool_ids=rows.ids(), matches=[], mode="random", seed=seed)
+    return ms, rows
 
 
 def _run(
@@ -169,7 +170,7 @@ def _run(
     test: Dataset | None,
     cfg: LoopConfig,
     out_dir,
-    select: Callable[[int, FailureScores, np.ndarray, Callable[[], np.ndarray]], MatchSet],
+    select: Callable[[int, FailureScores, np.ndarray, Callable[[], np.ndarray]], tuple[MatchSet, Dataset]],
 ) -> list[LoopState]:
     cfg.validate()
     if len(pool.records) == 0:
@@ -188,8 +189,7 @@ def _run(
                 raise DataError(f"{name} record '{sorted(leaked)[0]}' leaked into the training set")
 
     working = train_ds
-    working_ids = set(working.ids())
-    refuse_leaks(working_ids)
+    refuse_leaks(working.ids())
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -232,18 +232,17 @@ def _run(
                 sal_rel = f"iter-{t}/saliency.ppm"
                 image = render(grid, val, failures, cell_px=cfg.cell_px, alpha=cfg.alpha)
                 save_saliency(image, out_path / sal_rel)
-            ms = select(t, failures, val_coords, project_pool)
+            ms, rows = select(t, failures, val_coords, project_pool)
             sel, matched, mode = ms.sampled_val_ids, ms.matched_pool_ids, ms.mode
             if iter_dir is not None:
                 save_matchset(ms, iter_dir / "matchset.json")
             trained = None
-            if matched:
-                new_records = [pool.record_by_id(pid) for pid in matched if pid not in working_ids]
-                if new_records:
-                    new_ids = [rec.id for rec in new_records]
-                    refuse_leaks(new_ids)
-                    working = working.appended(new_records)
-                    working_ids.update(new_ids)
+            if len(rows):
+                held = set(working.ids())
+                new = rows.take([i for i, rec_id in enumerate(rows.ids()) if rec_id not in held])
+                if len(new):
+                    refuse_leaks(new.ids())
+                    working = working.appended(new)
                 ft_hyper = replace(
                     cfg.hyper,
                     learning_rate=sched[t - 1],
@@ -304,15 +303,16 @@ def run_loop(
 ) -> list[LoopState]:
     """Targeted remediation: sample validation failures, match pool images."""
     k = cfg.resolved_k(len(val.records))
+    pool_row = {pid: i for i, pid in enumerate(pool.ids())}
 
-    def select(t: int, failures, val_coords, project_pool) -> MatchSet:
+    def select(t: int, failures, val_coords, project_pool) -> tuple[MatchSet, Dataset]:
         weights = make_weights(failures, cfg.weight_mode)
         seed = derive_seed(cfg.seed, "sample", str(t))
         chosen = sample(weights, k, seed)
         ms = match_pool(chosen, val.ids(), val_coords, pool.ids(), project_pool(), cfg.m)
         ms.mode = cfg.weight_mode
         ms.seed = seed
-        return ms
+        return ms, pool.take([pool_row[pid] for pid in ms.matched_pool_ids])
 
     return _run(train_ds, val, pool, test, cfg, out_dir, select)
 
@@ -328,9 +328,8 @@ def run_random_baseline(
     """Control arm: per iteration, k*m uniform pool draws instead of matching."""
     k = cfg.resolved_k(len(val.records))
     budget = k * cfg.m
-    pool_ids = pool.ids()
 
-    def select(t: int, failures, val_coords, project_pool) -> MatchSet:
-        return _uniform_pool_draw(pool_ids, budget, derive_seed(cfg.seed, "baseline", str(t)))
+    def select(t: int, failures, val_coords, project_pool) -> tuple[MatchSet, Dataset]:
+        return _uniform_pool_draw(pool, budget, derive_seed(cfg.seed, "baseline", str(t)))
 
     return _run(train_ds, val, pool, test, cfg, out_dir, select)

@@ -54,6 +54,8 @@ def read_pgm(path) -> np.ndarray:
     width, height, maxval, offset = _parse_header(data, b"P5", path)
     if maxval != 255:
         raise DataError(f"{path}: unsupported maxval {maxval}, expected 255")
+    if width == 0 or height == 0:
+        raise DataError(f"{path}: zero-size image {width}x{height}")
     n = width * height
     payload = data[offset : offset + n]
     if len(payload) < n:

@@ -109,7 +109,10 @@ def render(
     the correctness tint; empty cells are flat mid-gray. Each grid row is
     painted in one step: one colormap call, one gather, one blend."""
     check_render_settings(cell_px, alpha)
+    if failures.ids != dataset.ids():
+        raise DataError("failure scores are not the dataset's records in order")
     pos = _positions(grid, failures)
+    images = dataset.matrix().reshape(len(dataset), dataset.height, dataset.width)
     canvas = np.empty((grid.rows * cell_px, grid.cols * cell_px, 3), dtype=np.uint8)
     # one grid row of the canvas as cell_px x cols x cell_px x 3: cell c is [:, c]
     row_blocks = canvas.reshape(grid.rows, cell_px, grid.cols, cell_px, 3)
@@ -118,9 +121,9 @@ def render(
         occupied = [c for c, rec_id in enumerate(row) if rec_id is not None]
         if not occupied:
             continue
-        pixels = [dataset.record_by_id(row[c]).pixels for c in occupied]
-        gray = np.rint(_resize_nearest(np.stack(pixels), cell_px) * 255.0)
-        tint = colormap(1.0 - failures.scores[[pos[row[c]] for c in occupied]]).astype(np.float64)
+        at = [pos[row[c]] for c in occupied]
+        gray = np.rint(_resize_nearest(images[at], cell_px) * 255.0)
+        tint = colormap(1.0 - failures.scores[at]).astype(np.float64)
         blended = (1.0 - alpha) * gray[..., None] + alpha * tint[:, None, None, :]
         block[:, occupied] = np.clip(np.rint(blended), 0, 255).astype(np.uint8).swapaxes(0, 1)
     legend = {

@@ -17,6 +17,7 @@ images are stable across releases (golden files depend on them).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,27 @@ def feature_intensities(complexion: float) -> tuple[float, float]:
     return min(sclera, SCLERA_INTENSITY), max(pupil, PUPIL_INTENSITY)
 
 
+@functools.cache
+def _eye_layout(h: int, w: int, eye_state: str) -> np.ndarray:
+    """Which value each pixel of an h x w face takes: 0 skin, 1 sclera, 2
+    pupil or bar. Later features overwrite earlier ones, eye by eye. The
+    array is shared by every face of this size and state, so it is read-only."""
+    layout = np.zeros((h, w), dtype=np.intp)
+    # Pixel-center coordinates against float feature centers.
+    rr = np.arange(h, dtype=np.float64)[:, None] + 0.5
+    cc = np.arange(w, dtype=np.float64)[None, :] + 0.5
+    cy = EYE_ROW * h
+    for col_frac in EYE_COLS:
+        cx = col_frac * w
+        if eye_state == "open":
+            layout[((rr - cy) / (h / 10.0)) ** 2 + ((cc - cx) / (w / 8.0)) ** 2 <= 1.0] = 1
+            layout[(rr - cy) ** 2 + (cc - cx) ** 2 <= (h / 20.0) ** 2] = 2
+        else:
+            layout[(np.abs(rr - cy) <= h / 48.0) & (np.abs(cc - cx) <= w / 12.0)] = 2
+    layout.flags.writeable = False
+    return layout
+
+
 def render_face(params: FaceParams, height: int, width: int, noise_sigma: float) -> np.ndarray:
     """Render one face image; identical params always give identical pixels."""
     if height < 16 or width < 16:
@@ -119,23 +141,9 @@ def render_face(params: FaceParams, height: int, width: int, noise_sigma: float)
     if params.eye_state not in ("open", "closed"):
         raise DataError(f"unknown eye_state {params.eye_state!r}")
     h, w = height, width
-    img = np.full((h, w), BASE_OFFSET + BASE_SPAN * params.complexion, dtype=np.float64)
     sclera_val, pupil_val = feature_intensities(params.complexion)
-
-    # Pixel-center coordinates against float feature centers.
-    rr = np.arange(h, dtype=np.float64)[:, None] + 0.5
-    cc = np.arange(w, dtype=np.float64)[None, :] + 0.5
-    cy = EYE_ROW * h
-    for col_frac in EYE_COLS:
-        cx = col_frac * w
-        if params.eye_state == "open":
-            ellipse = ((rr - cy) / (h / 10.0)) ** 2 + ((cc - cx) / (w / 8.0)) ** 2 <= 1.0
-            img[ellipse] = sclera_val
-            pupil = (rr - cy) ** 2 + (cc - cx) ** 2 <= (h / 20.0) ** 2
-            img[pupil] = pupil_val
-        else:
-            bar = (np.abs(rr - cy) <= h / 48.0) & (np.abs(cc - cx) <= w / 12.0)
-            img[bar] = pupil_val
+    values = np.array([BASE_OFFSET + BASE_SPAN * params.complexion, sclera_val, pupil_val])
+    img = values[_eye_layout(h, w, params.eye_state)]
 
     if noise_sigma > 0.0:
         rng = make_rng(params.jitter_seed)

@@ -123,6 +123,17 @@ def test_visualize_rejects_mismatched_basis(tmp_path, small_cfg, capsys):
     assert "data error" in err
 
 
+def test_fit_pca_on_zero_size_images_exits_three(tmp_path, capsys):
+    (tmp_path / "empty.pgm").write_bytes(b"P5\n0 0\n255\n")
+    lines = [json.dumps({"id": f"e{i}", "path": "empty.pgm", "label": i % 2}) for i in range(4)]
+    (tmp_path / "m.jsonl").write_text("\n".join(lines) + "\n")
+    code = main(["--out-dir", str(tmp_path), "fit-pca", "--manifest", str(tmp_path / "m.jsonl"), "--out", "b.json"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "data error" in err and "zero-size image" in err
+    assert not (tmp_path / "b.json").exists()
+
+
 def test_visualize_malformed_model_exits_three(tmp_path, small_cfg, capsys):
     out = run_synth(tmp_path, small_cfg)
     args = ["--out-dir", str(out)]

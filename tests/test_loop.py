@@ -87,8 +87,8 @@ def select_every_other(pool):
     """A selector that matches three pool images on even iterations and none on odd ones."""
 
     def select(t, failures, val_coords, project_pool):
-        matched = pool.ids()[:3] if t % 2 == 0 else []
-        return MatchSet(sampled_val_ids=[], matched_pool_ids=matched, matches=[], mode="alt", seed=t)
+        rows = pool.take(range(3) if t % 2 == 0 else [])
+        return MatchSet(sampled_val_ids=[], matched_pool_ids=rows.ids(), matches=[], mode="alt", seed=t), rows
 
     return select
 
@@ -201,7 +201,7 @@ def test_metrics_record_null_epochs_when_nothing_was_trained(small_corpus, tmp_p
     train_ds, val_ds, pool_ds = small_corpus
 
     def select_nothing(t, failures, val_coords, pool_coords):
-        return MatchSet(sampled_val_ids=[], matched_pool_ids=[], matches=[], mode="none", seed=t)
+        return MatchSet(sampled_val_ids=[], matched_pool_ids=[], matches=[], mode="none", seed=t), pool_ds.take([])
 
     _run(train_ds, val_ds, pool_ds, None, small_cfg(max_iterations=1), tmp_path, select_nothing)
     m0 = json.loads((tmp_path / "iter-0" / "metrics.json").read_text())
@@ -270,6 +270,34 @@ def test_validation_leak_is_refused(small_corpus):
     poisoned = Dataset.from_records(list(train_ds.records) + [val_ds.records[0]])
     with pytest.raises(DataError, match="leaked"):
         run_loop(poisoned, val_ds, pool_ds, cfg=small_cfg())
+
+
+def flipped(ds, n):
+    """Left-right mirror images of the first n rows of ds, under new ids."""
+    h, w = ds.height, ds.width
+    mirrored = np.ascontiguousarray(ds.matrix()[:n].reshape(n, h, w)[:, :, ::-1]).reshape(n, h * w)
+    return Dataset.from_matrix(mirrored, h, w, [f"flip-{rec.id}" for rec in ds.records[:n]],
+                               ds.labels()[:n].tolist(), ds.groups()[:n])
+
+
+def test_a_selector_may_add_rows_that_are_not_in_the_pool(small_corpus):
+    train_ds, val_ds, pool_ds = small_corpus
+    mirrors = flipped(train_ds, 6)
+
+    def select_mirrors(t, failures, val_coords, project_pool):
+        rows = mirrors.take(range(3 * t))  # each iteration repeats the rows of the one before
+        return MatchSet(sampled_val_ids=[], matched_pool_ids=[], matches=[], mode="mirror", seed=t), rows
+
+    cfg = small_cfg(max_iterations=2, convergence_patience=10)
+    states = _run(train_ds, val_ds, pool_ds, None, cfg, None, select_mirrors)
+    assert [s.train_size for s in states] == [len(train_ds), len(train_ds) + 3, len(train_ds) + 6]
+
+    def select_a_validation_row(t, failures, val_coords, project_pool):
+        rows = val_ds.take([0])
+        return MatchSet(sampled_val_ids=[], matched_pool_ids=rows.ids(), matches=[], mode="leak", seed=t), rows
+
+    with pytest.raises(DataError, match=f"validation record '{val_ds.ids()[0]}' leaked"):
+        _run(train_ds, val_ds, pool_ds, None, cfg, None, select_a_validation_row)
 
 
 def test_split_dimensions_must_agree(small_corpus):

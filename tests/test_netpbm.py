@@ -82,6 +82,14 @@ def test_rejects_wrong_maxval(tmp_path):
         read_pgm(path)
 
 
+@pytest.mark.parametrize("size", [b"0 0", b"0 3", b"3 0"])
+def test_rejects_zero_size_image(tmp_path, size):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5\n" + size + b"\n255\n")
+    with pytest.raises(DataError, match="zero-size image"):
+        read_pgm(path)
+
+
 def test_rejects_truncated_header(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P5\n1 1")

@@ -152,6 +152,16 @@ def test_render_input_validation():
         render(orphan_grid, ds, failures)
 
 
+def test_render_refuses_scores_out_of_the_datasets_order():
+    ds = flat_dataset([0.2, 0.4, 0.6])
+    grid = make_grid(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 2, 2, ids=ds.ids())
+    failures = failures_of(["f1", "f0", "f2"], [0.0, 1.0, 0.5], [1.0, 0.0, 0.0])
+    with pytest.raises(DataError, match="not the dataset's records in order"):
+        render(grid, ds, failures)
+    with pytest.raises(DataError, match="not the dataset's records in order"):
+        render(grid, ds, failures_of(["f0", "f1"], [0.0, 1.0], [0.0, 1.0]))
+
+
 def test_save_saliency_writes_ppm(tmp_path):
     ds = flat_dataset([0.3])
     grid = make_grid(np.array([[0.0, 0.0]]), 1, 1, ids=["f0"])
