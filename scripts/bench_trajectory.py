@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from repeat import seeds  # noqa: E402
 
-TRACED = ("synth.generate_split.s", "saliency.render.s", "loop.self.s")
+TRACED = ("dataset.matrix.s", "classifier.fine_tune.s", "synth.generate_split.s")
 
 
 def run(side: str, checkout: Path, spec: dict, workload: str, seed: int, trace: int) -> dict:

@@ -11,10 +11,12 @@ stopping). A training call also ends as soon as the best stop-split
 accuracy plus early_stop_min_delta reaches 1.0, because no later epoch
 could then be kept.
 
-Training copies only the stop split out of the dataset matrix. Each
-gradient step gathers its batch's rows from the matrix by index, and each
-epoch records the stop split's loss and accuracy; no pass over the whole
-fit split is made beyond the gradient steps themselves.
+Training reads the dataset's uint8 levels and sees the floats
+levels / 255.0. It copies only the stop split out as floats. Each gradient
+step gathers its batch's rows of levels by index and divides them into one
+float buffer reused by every step, and each epoch records the stop split's
+loss and accuracy; no pass over the whole fit split is made beyond the
+gradient steps themselves.
 """
 
 from __future__ import annotations
@@ -99,9 +101,10 @@ def predict_matrix(model: RefModel, mat: np.ndarray) -> np.ndarray:
     return sigmoid(mat @ model.weights + model.bias)
 
 
-def predict_dataset(model: RefModel, dataset: Dataset) -> np.ndarray:
-    """Scores aligned with dataset record order."""
-    return predict_matrix(model, dataset.matrix())
+def predict_dataset(model: RefModel, dataset: Dataset, matrix: np.ndarray | None = None) -> np.ndarray:
+    """Scores aligned with dataset record order. `matrix`, when given, is
+    the dataset's float matrix, passed by a caller that already holds it."""
+    return predict_matrix(model, dataset.matrix() if matrix is None else matrix)
 
 
 def loss_value(weights: np.ndarray, bias: float, mat: np.ndarray, labels: np.ndarray, l2: float) -> float:
@@ -136,15 +139,17 @@ def _optimize(w0: np.ndarray, b0: float, dataset: Dataset, hyper: TrainHyper) ->
     labels = dataset.labels()
     if len(np.unique(labels)) < 2:
         raise DataError("training data must contain both labels")
-    mat = dataset.matrix()
-    n = mat.shape[0]
+    levels = dataset.levels()
+    n = levels.shape[0]
 
     rng = make_rng(hyper.seed)
     perm = rng.permutation(n)
     n_stop = min(n - 1, max(1, int(round(hyper.val_fraction * n))))
     stop_idx, fit_idx = perm[:n_stop], perm[n_stop:]
-    stop_x, stop_y = mat[stop_idx], labels[stop_idx]
+    stop_x, stop_y = levels[stop_idx] / 255.0, labels[stop_idx]
     n_fit = fit_idx.shape[0]
+    # every batch's rows are divided into this one buffer
+    batch_x = np.empty((n_fit if hyper.full_batch else min(hyper.batch_size, n_fit), levels.shape[1]))
 
     w = w0.astype(np.float64).copy()
     b = float(b0)
@@ -158,15 +163,16 @@ def _optimize(w0: np.ndarray, b0: float, dataset: Dataset, hyper: TrainHyper) ->
         # test below cannot pass again. Valid only for that accuracy rule.
         if best_acc + hyper.early_stop_min_delta >= 1.0:
             break
-        # Batches are gathered from the dataset matrix by row index; no copy
-        # of the fit split is kept across steps or calls.
+        # Batches are gathered from the dataset's levels by row index; no
+        # copy of the fit split is kept across steps or calls.
         if hyper.full_batch:
             batches = [fit_idx]
         else:
             order = rng.permutation(n_fit)
             batches = [fit_idx[order[i : i + hyper.batch_size]] for i in range(0, n_fit, hyper.batch_size)]
         for batch in batches:
-            grad_w, grad_b = loss_gradient(w, b, mat[batch], labels[batch], hyper.l2)
+            x = np.divide(levels[batch], 255.0, out=batch_x[: len(batch)])
+            grad_w, grad_b = loss_gradient(w, b, x, labels[batch], hyper.l2)
             w -= hyper.learning_rate * grad_w
             b -= hyper.learning_rate * grad_b
         stop_acc = accuracy_from_scores(sigmoid(stop_x @ w + b), stop_y)

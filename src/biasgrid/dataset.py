@@ -1,22 +1,30 @@
 """Image records, datasets, and JSONL manifest I/O.
 
-A Dataset stores its images as one N x P float64 matrix, P = H * W, each
-image flattened row-major into one row. The matrix is C-contiguous and
-read-only, and `matrix()` returns it without copying; labels are a stored
-read-only float64 array beside it. Each record's `pixels` is a read-only
-H x W view of its row, so writing to `pixels` (or to the matrix) raises
-ValueError: a dataset never changes once built. Every way to build one
-checks what it adds, so nothing checks a built dataset's rows again.
+A Dataset stores its images as the 8-bit images they are: one N x P uint8
+matrix of levels, P = H * W, each image flattened row-major into one row.
+The levels are C-contiguous and read-only, and `levels()` returns them
+without copying; labels are a stored read-only float64 array beside them.
+A dataset never changes once built. Every way to build one checks what it
+adds, so nothing checks a built dataset's rows again.
+
+Float pixels enter at one place, `from_records`, which checks them (finite,
+in [0, 1]) and quantizes them by netpbm's one rule, rint(v * 255) with ties
+to even; the generator and the manifest reader write levels straight into
+their rows. Every float a consumer sees is exactly levels / 255.0: the
+fresh N x P float64 array `matrix()` returns, which the caller owns and may
+overwrite, and each record's `pixels`, a read-only H x W float64 image
+computed from its row on access. No float copy is kept, so a caller that
+needs the whole matrix more than once holds the one `matrix()` gave it.
 
 Rows move by position, in blocks; no API looks a record up by id.
 `take(indices)` copies those rows into a new dataset. `appended(rows)`
-adds the rows of the Dataset `rows` after this one's, refusing another
-image size or an id already held. It writes into a row buffer with spare
-capacity (half as many rows again); the first dataset appended to a
-receiver takes over its spare rows, so only the new rows are copied. A
-later `appended` on the same receiver, or one that does not fit, copies
-both into a fresh buffer: a chain of appends copies the rows it holds
-only when it outgrows a buffer.
+adds the rows of the Dataset `rows` after this one's (or only those at
+given positions), refusing another image size or an id already held. It
+writes into a row buffer with spare capacity (half as many rows again);
+the first dataset appended to a receiver takes over its spare rows, so
+only the new rows are copied. A later `appended` on the same receiver, or
+one that does not fit, copies both into a fresh buffer: a chain of appends
+copies the rows it holds only when it outgrows a buffer.
 
 A manifest is one JSON object per line with keys "id" (string), "path"
 (image file relative to the manifest's directory), "label" (0 or 1), and
@@ -33,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .netpbm import read_pgm, write_pgm
+from .netpbm import quantize, read_pgm_levels, write_pgm_levels
 
 
 @dataclass
@@ -41,26 +49,44 @@ class ImageRecord:
     """One grayscale image with a binary label (0=open/awake, 1=closed/drowsy)."""
 
     id: str
-    pixels: np.ndarray  # H x W, float in [0, 1]; a read-only row view inside a Dataset
+    pixels: np.ndarray  # H x W, float in [0, 1]
     label: int
     group: str | None = None
+
+
+class _Row(ImageRecord):
+    """A dataset's record: its pixels are computed from its row of levels."""
+
+    def __init__(self, levels: np.ndarray, rec_id: str, label: int, group: str | None):
+        self._levels = levels  # H x W uint8 view of the dataset's row
+        self.id = rec_id
+        self.label = label
+        self.group = group
+
+    @property
+    def pixels(self) -> np.ndarray:
+        pixels = self._levels / 255.0
+        pixels.flags.writeable = False
+        return pixels
 
 
 def _bad_label(label) -> bool:
     return isinstance(label, (bool, np.bool_)) or label not in (0, 1)
 
 
-def _check_rows(ids: list[str], labels: list, rows: np.ndarray) -> None:
+def _check_rows(ids: list[str], labels: list, rows: np.ndarray | None = None) -> None:
     """Raise the DataError of the first bad record, in record order.
 
     Within a record the checks run in this order: its id repeats an
     earlier record's; its label is not 0 or 1 (bools are refused); its row
-    of `rows` holds a non-finite value; or a value outside [0, 1]. The
-    pixel checks are two reductions over all rows.
+    of the float matrix `rows`, when given, holds a non-finite value; or a
+    value outside [0, 1]. The pixel checks are two reductions over all rows.
     """
-    lo, hi = rows.min(axis=1), rows.max(axis=1)
-    finite = np.isfinite(lo) & np.isfinite(hi)
-    bad_pixels = (~finite | (lo < 0.0) | (hi > 1.0)).tolist()  # NaN compares False
+    bad_pixels = [False] * len(ids)
+    if rows is not None:
+        lo, hi = rows.min(axis=1), rows.max(axis=1)
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        bad_pixels = (~finite | (lo < 0.0) | (hi > 1.0)).tolist()  # NaN compares False
     seen: set[str] = set()
     for i, (rec_id, label) in enumerate(zip(ids, labels)):
         if rec_id in seen:
@@ -79,7 +105,8 @@ def _size_mismatch(rec_id: str, shape: tuple[int, int], height: int, width: int)
 
 
 class Dataset:
-    """Ordered, dimension-consistent image records backed by one N x P matrix.
+    """Ordered, dimension-consistent image records backed by one N x P
+    uint8 level matrix.
 
     Build one with from_records, from_matrix, take or appended; the
     constructor itself trusts its arguments and checks nothing. Its
@@ -89,39 +116,41 @@ class Dataset:
 
     def __init__(self, buffer: np.ndarray, height: int, width: int,
                  ids: list[str], labels: list[int], groups: list[str | None]):
-        matrix = buffer[: len(ids)]
-        matrix.flags.writeable = False
-        self._matrix = matrix
+        levels = buffer[: len(ids)]
+        levels.flags.writeable = False
+        self._levels = levels
         self._spare = buffer if buffer.shape[0] > len(ids) else None
         self._labels = np.array(labels, dtype=np.float64)
         self._labels.flags.writeable = False
         self.height = height
         self.width = width
-        views = matrix.reshape(len(ids), height, width)
+        views = levels.reshape(len(ids), height, width)
         self.records = [
-            ImageRecord(id=rec_id, pixels=views[i], label=int(label), group=group)
+            _Row(views[i], rec_id, int(label), group)
             for i, (rec_id, label, group) in enumerate(zip(ids, labels, groups))
         ]
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray, height: int, width: int,
+    def from_matrix(cls, levels: np.ndarray, height: int, width: int,
                     ids: list[str], labels: list, groups: list[str | None]) -> "Dataset":
-        """Adopt a filled C-contiguous float64 len(ids) x (height * width)
-        matrix as the dataset's storage, after checking every record; the
-        matrix is marked read-only."""
+        """Adopt a filled C-contiguous uint8 len(ids) x (height * width)
+        level matrix as the dataset's storage, after checking every record's
+        id and label; the matrix is marked read-only. Every level is a valid
+        pixel, so no pixel is checked."""
         if not ids:
             raise DataError("dataset must be non-empty")
-        if matrix.dtype != np.float64 or not matrix.flags.c_contiguous or matrix.shape != (len(ids), height * width):
-            raise DataError(f"expected a C-contiguous float64 {len(ids)}x{height * width} matrix")
-        _check_rows(ids, labels, matrix)
-        matrix.flags.writeable = False
-        return cls(matrix, height, width, ids, labels, groups)
+        if levels.dtype != np.uint8 or not levels.flags.c_contiguous or levels.shape != (len(ids), height * width):
+            raise DataError(f"expected a C-contiguous uint8 {len(ids)}x{height * width} matrix")
+        _check_rows(ids, labels)
+        levels.flags.writeable = False
+        return cls(levels, height, width, ids, labels, groups)
 
     @classmethod
     def from_records(cls, records: list[ImageRecord]) -> "Dataset":
-        """Stack the records' pixels once into a new dataset. The first bad
-        record, in order, raises a DataError: one whose image is not the
-        first record's size, or one that _check_rows refuses."""
+        """Stack the records' float pixels once, check them, and quantize
+        them into a new dataset. The first bad record, in order, raises a
+        DataError: one whose image is not the first record's size, or one
+        that _check_rows refuses."""
         if not records:
             raise DataError("dataset must be non-empty")
         h, w = records[0].pixels.shape
@@ -130,42 +159,50 @@ class Dataset:
         mat = np.empty((len(records), h * w))
         rows = mat.reshape(len(records), h, w)
         for i, rec in enumerate(records):
-            if rec.pixels.shape != (h, w):
+            pixels = rec.pixels
+            if pixels.shape != (h, w):
                 _check_rows(ids[:i], labels[:i], mat[:i])
-                raise _size_mismatch(rec.id, rec.pixels.shape, h, w)
-            rows[i] = rec.pixels
+                raise _size_mismatch(rec.id, pixels.shape, h, w)
+            rows[i] = pixels
         _check_rows(ids, labels, mat)
-        return cls(mat, h, w, ids, labels, [rec.group for rec in records])
+        return cls(quantize(mat), h, w, ids, labels, [rec.group for rec in records])
 
     def take(self, indices) -> "Dataset":
         """A new dataset of the rows at `indices`, in that order, copied out
-        of the matrix as one block; a repeated index raises a DataError."""
+        of the level matrix as one block; a repeated index raises a DataError."""
         idx = np.asarray(indices, dtype=np.intp)
         if len(set(idx.tolist())) != len(idx):
             raise DataError("take: repeated row index")
         picked = [self.records[i] for i in idx]
-        return Dataset(self._matrix[idx], self.height, self.width, [rec.id for rec in picked],
+        return Dataset(self._levels[idx], self.height, self.width, [rec.id for rec in picked],
                        [rec.label for rec in picked], [rec.group for rec in picked])
 
-    def appended(self, rows: "Dataset") -> "Dataset":
-        """A new dataset: this one's records, then those of `rows`. Rows of
-        another image size or with an id this dataset holds raise a
+    def appended(self, rows: "Dataset", indices=None) -> "Dataset":
+        """A new dataset: this one's records, then those of `rows` at
+        `indices` in that order (all of them when None), copied from its
+        levels straight into this dataset's buffer. A picked row of another
+        image size, with an id this dataset holds, or picked twice raises a
         DataError. This dataset is unchanged either way."""
-        if len(rows) and (rows.height, rows.width) != (self.height, self.width):
-            raise _size_mismatch(rows.records[0].id, (rows.height, rows.width), self.height, self.width)
+        idx = np.arange(len(rows)) if indices is None else np.asarray(indices, dtype=np.intp)
+        picked = [rows.records[i] for i in idx]
+        if picked and (rows.height, rows.width) != (self.height, self.width):
+            raise _size_mismatch(picked[0].id, (rows.height, rows.width), self.height, self.width)
         held = set(self.ids())
-        for rec_id in rows.ids():
-            if rec_id in held:
-                raise DataError(f"duplicate id '{rec_id}'")
+        for rec in picked:  # a repeated index repeats an id
+            if rec.id in held:
+                raise DataError(f"duplicate id '{rec.id}'")
+            held.add(rec.id)
         n = len(self.records)
-        total = n + len(rows)
+        total = n + len(picked)
         buffer = self._spare
         if buffer is None or buffer.shape[0] < total:
-            buffer = np.empty((total + total // 2, self._matrix.shape[1]))
-            buffer[:n] = self._matrix
-        buffer[n:total] = rows.matrix()
+            buffer = np.empty((total + total // 2, self._levels.shape[1]), dtype=np.uint8)
+            buffer[:n] = self._levels
+        # `picked` has refused an index out of range; mode "wrap" then reads
+        # the same rows as "raise" would, and writes them without a buffer
+        np.take(rows.levels(), idx, axis=0, out=buffer[n:total], mode="wrap")
         self._spare = None
-        whole = self.records + rows.records
+        whole = self.records + picked
         return Dataset(buffer, self.height, self.width,
                        [rec.id for rec in whole], [rec.label for rec in whole], [rec.group for rec in whole])
 
@@ -175,9 +212,13 @@ class Dataset:
     def ids(self) -> list[str]:
         return [rec.id for rec in self.records]
 
+    def levels(self) -> np.ndarray:
+        """The stored N x P uint8 level matrix (row-major flattening), read-only."""
+        return self._levels
+
     def matrix(self) -> np.ndarray:
-        """The stored N x P image matrix (row-major flattening), read-only."""
-        return self._matrix
+        """A fresh N x P float64 matrix, levels / 255.0, that the caller owns."""
+        return self._levels / 255.0
 
     def labels(self) -> np.ndarray:
         """The stored read-only float64 label array, aligned with records."""
@@ -190,8 +231,9 @@ class Dataset:
 def load_manifest(path) -> Dataset:
     """Load a JSONL manifest into a Dataset, preserving manifest line order.
 
-    Each image is read straight into its row of one preallocated matrix:
-    every non-blank line is one record or an error.
+    Each image's 8-bit payload is copied straight into its row of one
+    preallocated level matrix: every non-blank line is one record or an
+    error.
     """
     path = Path(path)
     try:
@@ -231,34 +273,35 @@ def load_manifest(path) -> Dataset:
         if rec_id in seen:
             raise DataError(f"{path}:{lineno}: duplicate id '{rec_id}'")
         seen.add(rec_id)
-        pixels = read_pgm(base / img_path)
+        image = read_pgm_levels(base / img_path)
         if not ids:
-            h, w = pixels.shape
-            mat = np.empty((len(lines), h * w))
-            rows = mat.reshape(len(lines), h, w)
-        elif pixels.shape != (h, w):
-            raise _size_mismatch(rec_id, pixels.shape, h, w)
-        rows[len(ids)] = pixels
+            h, w = image.shape
+            levels = np.empty((len(lines), h * w), dtype=np.uint8)
+            rows = levels.reshape(len(lines), h, w)
+        elif image.shape != (h, w):
+            raise _size_mismatch(rec_id, image.shape, h, w)
+        rows[len(ids)] = image
         ids.append(rec_id)
         labels.append(int(label))
         groups.append(group)
-    return Dataset.from_matrix(mat, h, w, ids, labels, groups)
+    return Dataset.from_matrix(levels, h, w, ids, labels, groups)
 
 
 def save_dataset(dataset: Dataset, manifest_path) -> None:
     """Write a dataset as a JSONL manifest plus one PGM file per record.
 
     Images go into '<manifest stem>-images' next to the manifest, named
-    '<id>.pgm'.
+    '<id>.pgm', each written as its row of levels.
     """
     manifest_path = Path(manifest_path)
     rel_dir = manifest_path.stem + "-images"
     out_dir = manifest_path.parent / rel_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = []
-    for rec in dataset.records:
+    images = dataset.levels().reshape(len(dataset), dataset.height, dataset.width)
+    for rec, image in zip(dataset.records, images):
         rel_path = f"{rel_dir}/{rec.id}.pgm"
-        write_pgm(manifest_path.parent / rel_path, rec.pixels)
+        write_pgm_levels(manifest_path.parent / rel_path, image)
         obj: dict = {"id": rec.id, "path": rel_path, "label": rec.label}
         if rec.group is not None:
             obj["group"] = rec.group

@@ -5,11 +5,12 @@ Iteration 0 trains the base model on the original training set. Each later
 iteration renders the similarity grid with the current model's failure
 overlay, asks a selector for (MatchSet, Dataset), the audit record saved
 as matchset.json and the rows to add, appends the rows the working set
-lacks, and fine-tunes at that iteration's learning rate. Rows may come
-from anywhere but the validation and test sets. Each trained model scores
-the validation set once, for its record and the next iteration, and a
-model no fine-tune replaced keeps its scores. The loop stops on a
-validation-accuracy plateau or after max_iterations.
+lacks (copied once, straight into the working set's buffer), and
+fine-tunes at that iteration's learning rate. Rows may come from anywhere
+but the validation and test sets. Each trained model scores the validation
+set once, for its record and the next iteration, and a model no fine-tune
+replaced keeps its scores. The loop stops on a validation-accuracy plateau
+or after max_iterations.
 
 The targeted arm (run_loop) takes the pool images nearest to validation
 images drawn by failure score. The control arm (run_random_baseline) draws
@@ -201,8 +202,10 @@ def _run(
                 shutil.rmtree(stale)
         (out_path / "summary.jsonl").unlink(missing_ok=True)
 
-    basis = fit(val)
-    val_coords = project(basis, val)
+    # the one float copy of the validation set, for the fit and every scoring
+    val_x = val.matrix()
+    basis = fit(val_x)
+    val_coords = project(basis, val_x)
     # the pool is projected on a selector's first request, and only then
     project_pool = functools.cache(lambda: project(basis, pool))
     grid = make_grid(val_coords, cfg.grid_rows, cfg.grid_cols, ids=val.ids())
@@ -211,7 +214,7 @@ def _run(
 
     def score(model: RefModel) -> tuple[FailureScores, float | None]:
         """The one scoring of a freshly trained model: validation failures and test accuracy."""
-        failures = compute_failures(model, val)
+        failures = compute_failures(model, val, val_x)
         test_acc = None
         if test is not None:
             test_acc = accuracy_from_scores(predict_dataset(model, test), test.labels())
@@ -239,10 +242,11 @@ def _run(
             trained = None
             if len(rows):
                 held = set(working.ids())
-                new = rows.take([i for i, rec_id in enumerate(rows.ids()) if rec_id not in held])
-                if len(new):
-                    refuse_leaks(new.ids())
-                    working = working.appended(new)
+                ids = rows.ids()
+                new = [i for i, rec_id in enumerate(ids) if rec_id not in held]
+                if new:
+                    refuse_leaks([ids[i] for i in new])
+                    working = working.appended(rows, new)
                 ft_hyper = replace(
                     cfg.hyper,
                     learning_rate=sched[t - 1],

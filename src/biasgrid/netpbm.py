@@ -1,8 +1,11 @@
 """Binary netpbm codecs: PGM (P5) read/write and PPM (P6) write.
 
-Grayscale values cross this boundary as floats in [0, 1]; on disk they are
-8-bit with maxval 255. Writing quantizes by round(v * 255) (ties to even),
-so any value already on the 8-bit lattice round-trips exactly.
+On disk a gray value is an 8-bit level with maxval 255. `quantize` is the
+package's one rule from a float in [0, 1] to a level: rint(v * 255), ties
+to even. A level k reads back as the float k / 255.0 (a division, so
+quantize gives k back), and any value already on the 8-bit lattice
+round-trips exactly. read_pgm_levels and write_pgm_levels move levels as
+they are; read_pgm and write_pgm take floats.
 """
 
 from __future__ import annotations
@@ -44,8 +47,13 @@ def _parse_header(data: bytes, magic: bytes, path) -> tuple[int, int, int, int]:
     return fields[0], fields[1], fields[2], pos + 1
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read a binary P5 grayscale file into an H x W float matrix in [0, 1]."""
+def quantize(values) -> np.ndarray:
+    """The uint8 level of each value in [0, 1]: rint(v * 255), ties to even."""
+    return np.rint(np.asarray(values, dtype=np.float64) * 255.0).astype(np.uint8)
+
+
+def read_pgm_levels(path) -> np.ndarray:
+    """Read a binary P5 grayscale file as its H x W read-only uint8 levels."""
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -60,8 +68,20 @@ def read_pgm(path) -> np.ndarray:
     payload = data[offset : offset + n]
     if len(payload) < n:
         raise DataError(f"{path}: truncated payload, expected {n} bytes, got {len(payload)}")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return pixels.astype(np.float64) / 255.0
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
+
+
+def read_pgm(path) -> np.ndarray:
+    """Read a binary P5 grayscale file into an H x W float matrix in [0, 1]."""
+    return read_pgm_levels(path) / 255.0
+
+
+def write_pgm_levels(path, levels: np.ndarray) -> None:
+    """Write an H x W uint8 level matrix as binary P5."""
+    if levels.dtype != np.uint8 or levels.ndim != 2 or levels.size == 0:
+        raise DataError("write_pgm_levels expects a non-empty 2-D uint8 matrix")
+    header = f"P5\n{levels.shape[1]} {levels.shape[0]}\n255\n".encode("ascii")
+    Path(path).write_bytes(header + np.ascontiguousarray(levels).tobytes())
 
 
 def write_pgm(path, matrix) -> None:
@@ -71,9 +91,7 @@ def write_pgm(path, matrix) -> None:
         raise DataError("write_pgm expects a non-empty 2-D matrix")
     if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
         raise DataError("write_pgm expects finite values in [0, 1]")
-    quant = np.rint(arr * 255.0).astype(np.uint8)
-    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + quant.tobytes())
+    write_pgm_levels(path, quantize(arr))
 
 
 def write_ppm(path, pixels) -> None:

@@ -79,7 +79,7 @@ class PcaBasis:
 
 def _as_matrix(data) -> np.ndarray:
     if isinstance(data, Dataset):
-        return data.matrix()
+        return data.matrix()  # float64, so a fingerprint does not depend on the storage
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 2:
         raise DataError("expected a Dataset or a 2-D matrix")
@@ -179,12 +179,17 @@ def project(basis: PcaBasis, data) -> np.ndarray:
     """Project images into the basis: (X - mean) @ components, one 2-D point per row.
 
     Works for any dataset with matching pixel count, including ones the
-    basis was not fitted on (e.g. an augmentation pool).
+    basis was not fitted on (e.g. an augmentation pool). A Dataset's float
+    matrix is built for this call alone, so it is centered in place rather
+    than copied.
     """
     mat = _as_matrix(data)
     p = basis.mean.shape[0]
     if mat.shape[1] != p:
         raise DataError(f"dimension mismatch: data has {mat.shape[1]} pixels, basis expects {p}")
+    if isinstance(data, Dataset):
+        mat -= basis.mean
+        return mat @ basis.components
     return (mat - basis.mean) @ basis.components
 
 

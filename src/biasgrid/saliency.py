@@ -48,9 +48,12 @@ class SaliencyImage:
     legend: dict = field(default_factory=dict)
 
 
-def compute_failures(model: RefModel, dataset: Dataset) -> FailureScores:
-    """Score every record: C = |sigmoid score - label|, in dataset order."""
-    preds = predict_dataset(model, dataset)
+def compute_failures(model: RefModel, dataset: Dataset, matrix: np.ndarray | None = None) -> FailureScores:
+    """Score every record: C = |sigmoid score - label|, in dataset order.
+
+    `matrix`, when given, is the dataset's float matrix, which a caller that
+    already holds it passes so that it is not built again."""
+    preds = predict_dataset(model, dataset, matrix)
     return FailureScores(ids=dataset.ids(), predictions=preds, scores=np.abs(preds - dataset.labels()))
 
 
@@ -107,12 +110,13 @@ def render(
 ) -> SaliencyImage:
     """Paint the grid: per cell, nearest-neighbor resized image blended with
     the correctness tint; empty cells are flat mid-gray. Each grid row is
-    painted in one step: one colormap call, one gather, one blend."""
+    painted in one step: one colormap call, one gather of the dataset's
+    8-bit levels, one blend."""
     check_render_settings(cell_px, alpha)
     if failures.ids != dataset.ids():
         raise DataError("failure scores are not the dataset's records in order")
     pos = _positions(grid, failures)
-    images = dataset.matrix().reshape(len(dataset), dataset.height, dataset.width)
+    images = dataset.levels().reshape(len(dataset), dataset.height, dataset.width)
     canvas = np.empty((grid.rows * cell_px, grid.cols * cell_px, 3), dtype=np.uint8)
     # one grid row of the canvas as cell_px x cols x cell_px x 3: cell c is [:, c]
     row_blocks = canvas.reshape(grid.rows, cell_px, grid.cols, cell_px, 3)
@@ -122,7 +126,7 @@ def render(
         if not occupied:
             continue
         at = [pos[row[c]] for c in occupied]
-        gray = np.rint(_resize_nearest(images[at], cell_px) * 255.0)
+        gray = _resize_nearest(images[at], cell_px).astype(np.float64)
         tint = colormap(1.0 - failures.scores[at]).astype(np.float64)
         blended = (1.0 - alpha) * gray[..., None] + alpha * tint[:, None, None, :]
         block[:, occupied] = np.clip(np.rint(blended), 0, 255).astype(np.uint8).swapaxes(0, 1)

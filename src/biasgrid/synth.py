@@ -11,6 +11,10 @@ light complexions therefore yields a classifier that leans on the light-skin
 cues and shows a measurable accuracy gap on dark-complexion faces, while a
 balanced split supports both cues at once.
 
+`render_face` returns continuous pixels in [0, 1]. A generated split stores
+each face quantized to 8 bits (see generate_split), the precision every
+file the CLI writes or reads has.
+
 All geometry and intensity constants below are fixed so that generated
 images are stable across releases (golden files depend on them).
 """
@@ -24,6 +28,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DataError
+from .netpbm import quantize
 from .seeding import derive_seed, make_rng
 
 # Base skin intensity is BASE_OFFSET + BASE_SPAN * complexion.
@@ -176,19 +181,23 @@ def _face(spec: CorpusSpec, split: str, index: int) -> tuple[np.ndarray, int, st
 def generate_split(spec: CorpusSpec, split: str, n: int) -> Dataset:
     """Generate one named split; record i depends only on (master_seed, split, i).
 
-    Each image is rendered straight into its row of the dataset's matrix.
+    Each face is rendered, quantized to the 8-bit levels a PGM file holds,
+    and written straight into its row of the dataset's level matrix, so a
+    split generated here and the same split read back from the manifests
+    `biasgrid synth` writes are the same dataset.
     """
     h, w = spec.height, spec.width
     ids = [f"{split}-{i:05d}" for i in range(n)]
-    mat = np.empty((len(ids), h * w))
-    rows = mat.reshape(len(ids), h, w)
+    levels = np.empty((len(ids), h * w), dtype=np.uint8)
+    rows = levels.reshape(len(ids), h, w)
     labels: list[int] = []
     groups: list[str] = []
     for i in range(len(ids)):
-        rows[i], label, group = _face(spec, split, i)
+        pixels, label, group = _face(spec, split, i)
+        rows[i] = quantize(pixels)
         labels.append(label)
         groups.append(group)
-    return Dataset.from_matrix(mat, h, w, ids, labels, groups)
+    return Dataset.from_matrix(levels, h, w, ids, labels, groups)
 
 
 def generate_corpus(spec: CorpusSpec) -> tuple[Dataset, Dataset, Dataset]:

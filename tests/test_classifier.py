@@ -136,8 +136,8 @@ def test_training_copies_only_the_stop_split():
     # alone peak near 0.9x the matrix's bytes.
     rng = np.random.default_rng(0)
     n, side = 1000, 64
-    ds = Dataset.from_matrix(rng.random((n, side * side)), side, side, [f"m{i}" for i in range(n)],
-                             [i % 2 for i in range(n)], [None] * n)
+    ds = Dataset.from_matrix(rng.integers(0, 256, (n, side * side), dtype=np.uint8), side, side,
+                             [f"m{i}" for i in range(n)], [i % 2 for i in range(n)], [None] * n)
     tracemalloc.start()
     try:
         model = train(ds, TrainHyper(max_epochs=2, seed=0))

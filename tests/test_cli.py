@@ -190,6 +190,40 @@ def test_loop_from_manifests_and_random_baseline(tmp_path, small_cfg, capsys):
     assert json.loads(summary[1])["selection_mode"] == "random"
 
 
+ROUTES_CFG = """\
+corpus.n_train = 60
+corpus.n_val = 30
+corpus.n_pool = 60
+corpus.height = 24
+corpus.width = 24
+train.max_epochs = 20
+loop.max_iterations = 2
+"""
+
+
+def run_files(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_loop_in_memory_and_over_synth_manifests_is_one_experiment(tmp_path, capsys):
+    # The generator stores each face at the 8-bit precision synth writes,
+    # so both routes train, score and select on the same pixels.
+    cfg = tmp_path / "routes.cfg"
+    cfg.write_text(ROUTES_CFG)
+    data = tmp_path / "data"
+    assert main(["--config", str(cfg), "--out-dir", str(data), "synth"]) == 0
+    manifests = tmp_path / "manifests.cfg"
+    manifests.write_text(ROUTES_CFG + "".join(f"paths.{name}_manifest = {data}/{name}.jsonl\n"
+                                              for name in ("train", "val", "pool")))
+    for arm in ("targeted", "random"):
+        args = ["loop", "--baseline", arm, "--run-name", arm]
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "memory")] + args) == 0
+        assert main(["--config", str(manifests), "--out-dir", str(tmp_path / "files")] + args) == 0
+    capsys.readouterr()
+    in_memory = run_files(tmp_path / "memory" / "runs")
+    assert len(in_memory) >= 2 * 8 and run_files(tmp_path / "files" / "runs") == in_memory
+
+
 def test_loop_rejects_partial_manifests(tmp_path, small_cfg, capsys):
     cfg = tmp_path / "partial.cfg"
     cfg.write_text(SMALL_CORPUS_CFG + "paths.train_manifest = somewhere.jsonl\n")

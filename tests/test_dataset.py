@@ -9,7 +9,8 @@ import pytest
 
 from biasgrid.dataset import Dataset, ImageRecord, load_manifest, save_dataset
 from biasgrid.errors import DataError
-from biasgrid.synth import CorpusSpec, generate_split
+from biasgrid.netpbm import read_pgm_levels, write_pgm
+from biasgrid.synth import CorpusSpec, generate_corpus, generate_split
 from oracles import reference_from_records
 
 
@@ -24,7 +25,7 @@ def eight_bit(shape, seed):
 
 
 def test_matrix_is_row_major_and_aligned():
-    px = np.arange(6, dtype=np.float64).reshape(2, 3) / 10.0
+    px = np.arange(6, dtype=np.float64).reshape(2, 3) / 255.0
     ds = Dataset.from_records([ImageRecord("a", px, 0), make_rec("b", 0.25, 1, (2, 3))])
     mat = ds.matrix()
     assert mat.shape == (2, 6)
@@ -267,33 +268,38 @@ def test_appended_raises_what_from_records_of_the_whole_list_raises(case):
 
 def test_matrix_is_one_stored_read_only_array_and_records_are_its_rows():
     ds = Dataset.from_records(clean_records())
-    mat = ds.matrix()
-    assert ds.matrix() is mat
-    assert mat.dtype == np.float64 and mat.flags.c_contiguous and not mat.flags.writeable
+    levels = ds.levels()
+    assert ds.levels() is levels
+    assert levels.dtype == np.uint8 and levels.flags.c_contiguous and not levels.flags.writeable
     assert ds.labels() is ds.labels() and not ds.labels().flags.writeable
+    mat = ds.matrix()  # computed, never stored: the caller's own copy
+    assert ds.matrix() is not mat and mat.tobytes() == (levels / 255.0).tobytes()
+    assert mat.dtype == np.float64 and mat.flags.c_contiguous
     for i, rec in enumerate(ds.records):
-        assert np.shares_memory(rec.pixels, mat) and not rec.pixels.flags.writeable
-        assert np.array_equal(rec.pixels.ravel(), mat[i])
+        assert rec.pixels.dtype == np.float64 and not rec.pixels.flags.writeable
+        assert rec.pixels.ravel().tobytes() == mat[i].tobytes()
     with pytest.raises(ValueError):
         ds.records[0].pixels[0, 0] = 0.0
     with pytest.raises(ValueError):
-        mat[0, 0] = 0.0
+        levels[0, 0] = 0
+    mat[0, 0] = 1.0
+    assert ds.matrix()[0, 0] == levels[0, 0] / 255.0
 
 
 def test_appended_leaves_the_receiver_unchanged():
     records = clean_records()
     base = Dataset.from_records(records[:5])
-    mat, ids, recs = base.matrix(), base.ids(), list(base.records)
-    before = mat.tobytes()
+    levels, ids, recs = base.levels(), base.ids(), list(base.records)
+    before = levels.tobytes()
     grown = base.appended(Dataset.from_records(records[5:]))
-    assert base.matrix() is mat and mat.tobytes() == before
+    assert base.levels() is levels and levels.tobytes() == before
     assert base.ids() == ids and base.records == recs and len(base) == 5
     assert "r07" not in base.ids()
     whole = Dataset.from_records(grown.records)
     assert grown.matrix().tobytes() == whole.matrix().tobytes()
     assert grown.ids() == whole.ids() and grown.groups() == whole.groups()
     assert np.array_equal(grown.labels(), whole.labels())
-    assert grown.ids()[7] == "r07" and np.shares_memory(grown.records[7].pixels, grown.matrix())
+    assert grown.ids()[7] == "r07" and grown.records[7].pixels.tobytes() == grown.matrix()[7].tobytes()
 
 
 def test_take_copies_the_rows_at_the_indices_in_order():
@@ -305,7 +311,7 @@ def test_take_copies_the_rows_at_the_indices_in_order():
     assert picked.labels().tolist() == [0.0, 1.0, 1.0]
     assert picked.groups() == [None, "dark", None]
     assert_is_from_records_of_its_records(picked)
-    assert not np.shares_memory(picked.matrix(), source.matrix())
+    assert not np.shares_memory(picked.levels(), source.levels())
     assert source.matrix().tobytes() == before and len(source) == 8
     assert len(source.take([])) == 0
     with pytest.raises(DataError, match="repeated row index"):
@@ -329,15 +335,28 @@ def test_appended_refuses_a_held_id_or_another_size_and_keeps_the_receiver(bad):
     assert receiver.matrix().tobytes() == before and len(receiver) == 6
     # the refused append left the spare rows to the next one
     grown = receiver.appended(Dataset.from_records(records[6:8]))
-    assert np.shares_memory(grown.matrix(), receiver.matrix())
+    assert np.shares_memory(grown.levels(), receiver.levels())
     assert_is_from_records_of_its_records(grown)
+
+
+def test_appended_copies_only_the_rows_at_the_indices():
+    records = clean_records(10)
+    receiver = Dataset.from_records(records[:4])
+    rows = Dataset.from_records(records[4:])
+    grown = receiver.appended(rows, [5, 0, 2])
+    assert grown.ids() == receiver.ids() + ["r09", "r04", "r06"]
+    assert grown.levels().tobytes() == receiver.appended(rows.take([5, 0, 2])).levels().tobytes()
+    assert_is_from_records_of_its_records(grown)
+    with pytest.raises(DataError, match="duplicate id 'r06'"):
+        receiver.appended(rows, [2, 1, 2])
+    assert len(receiver.appended(rows, [])) == 4
 
 
 def assert_is_from_records_of_its_records(ds):
     whole = Dataset.from_records(ds.records)
-    mat = ds.matrix()
-    assert mat.dtype == np.float64 and mat.flags.c_contiguous and not mat.flags.writeable
-    assert mat.tobytes() == whole.matrix().tobytes()
+    levels = ds.levels()
+    assert levels.dtype == np.uint8 and levels.flags.c_contiguous and not levels.flags.writeable
+    assert levels.tobytes() == whole.levels().tobytes()
     assert ds.ids() == whole.ids() and ds.groups() == whole.groups()
     assert ds.labels().tobytes() == whole.labels().tobytes()
 
@@ -350,8 +369,8 @@ def test_two_appends_onto_one_receiver_give_independent_datasets():
     first = receiver.appended(Dataset.from_records(records[6:8]))
     second = receiver.appended(Dataset.from_records(records[8:11]))
     # the first takes the receiver's spare rows; the second may not write there
-    assert np.shares_memory(first.matrix(), receiver.matrix())
-    assert not np.shares_memory(second.matrix(), first.matrix())
+    assert np.shares_memory(first.levels(), receiver.levels())
+    assert not np.shares_memory(second.levels(), first.levels())
     assert receiver.matrix().tobytes() == before and len(receiver) == 6
     for ds in (receiver, first, second):
         assert_is_from_records_of_its_records(ds)
@@ -367,7 +386,7 @@ def test_a_chain_of_appends_past_the_capacity_keeps_every_dataset():
         # a second append onto the same receiver, with records the chain takes later
         siblings.append(chain[-2].appended(Dataset.from_records(records[pos + step : pos + 2 * step])))
         pos += step
-    shared = [np.shares_memory(a.matrix(), b.matrix()) for a, b in zip(chain, chain[1:])]
+    shared = [np.shares_memory(a.levels(), b.levels()) for a, b in zip(chain, chain[1:])]
     assert any(shared) and not all(shared)
     for ds in chain + siblings:
         assert_is_from_records_of_its_records(ds)
@@ -376,7 +395,7 @@ def test_a_chain_of_appends_past_the_capacity_keeps_every_dataset():
 def test_an_append_into_spare_rows_copies_only_the_new_rows():
     rng = np.random.default_rng(0)
     n, h, w, k = 1000, 64, 64, 50
-    base = Dataset.from_matrix(rng.random((n, h * w)), h, w, [f"b{i}" for i in range(n)],
+    base = Dataset.from_matrix(rng.integers(0, 256, (n, h * w), dtype=np.uint8), h, w, [f"b{i}" for i in range(n)],
                                [i % 2 for i in range(n)], [None] * n)
     new = [ImageRecord(f"n{i}", rng.random((h, w)), i % 2) for i in range(2 * k)]
     receiver = base.appended(Dataset.from_records(new[:k]))  # a fresh buffer with spare rows
@@ -388,8 +407,8 @@ def test_an_append_into_spare_rows_copies_only_the_new_rows():
     finally:
         tracemalloc.stop()
     # Beyond the rows, each record costs about 0.3 KiB (ids, labels, views).
-    # Copying the receiver's matrix would add 1000 rows of 32 KiB.
-    assert peak < 2 * k * h * w * 8 + 1024 * len(grown)
+    # Copying the receiver's levels would add 1000 rows of 4 KiB.
+    assert peak < 2 * k * h * w + 1024 * len(grown)
     assert_is_from_records_of_its_records(grown)
 
 
@@ -399,10 +418,10 @@ def test_generated_and_loaded_matrices_equal_from_records_of_their_records(tmp_p
     loaded = load_manifest(tmp_path / "m.jsonl")
     for ds in (generated, loaded):
         ref = Dataset.from_records(ds.records)
-        assert ds.matrix().tobytes() == ref.matrix().tobytes()
+        assert ds.levels().tobytes() == ref.levels().tobytes()
         assert ds.ids() == ref.ids() and ds.groups() == ref.groups()
         assert ds.labels().tobytes() == ref.labels().tobytes()
-        assert not ds.matrix().flags.writeable
+        assert not ds.levels().flags.writeable
 
 
 def traced_peak(build):
@@ -412,13 +431,41 @@ def traced_peak(build):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak / ds.matrix().nbytes
+    return peak / ds.levels().nbytes
 
 
 def test_building_a_dataset_peaks_near_its_matrix(tmp_path):
-    # Stacking one array per image into the matrix peaks near 2x its bytes.
+    # The bound is against the uint8 levels: a float64 matrix of the same
+    # images alone would take 8x their bytes.
     spec = CorpusSpec(master_seed=0, height=64, width=64)
     save_dataset(generate_split(spec, "val", 200), tmp_path / "m.jsonl")
     load_manifest(tmp_path / "m.jsonl")  # warm up lazy imports outside the trace
     assert traced_peak(lambda: generate_split(spec, "val", 200)) <= 1.5
     assert traced_peak(lambda: load_manifest(tmp_path / "m.jsonl")) <= 1.5
+
+
+def test_a_generated_corpus_is_stored_as_uint8_levels():
+    spec = CorpusSpec()
+    for ds, n in zip(generate_corpus(spec), (spec.n_train, spec.n_val, spec.n_pool)):
+        levels = ds.levels()
+        assert levels.dtype == np.uint8 and levels.shape == (n, spec.height * spec.width)
+        assert levels.nbytes == n * spec.height * spec.width
+
+
+def test_save_then_load_gives_the_same_levels_ids_labels_and_groups(tmp_path):
+    ds = generate_split(CorpusSpec(master_seed=5, height=16, width=24), "pool", 30)
+    save_dataset(ds, tmp_path / "m.jsonl")
+    back = load_manifest(tmp_path / "m.jsonl")
+    assert back.levels().dtype == np.uint8
+    assert back.levels().tobytes() == ds.levels().tobytes()
+    assert back.ids() == ds.ids() and back.groups() == ds.groups()
+    assert back.labels().tobytes() == ds.labels().tobytes()
+
+
+def test_from_records_quantizes_ties_as_write_pgm_does(tmp_path):
+    px = np.array([[0.5, 1.5, 2.5, 254.5]]) / 255.0
+    ds = Dataset.from_records([ImageRecord("t", px, 0)])
+    write_pgm(tmp_path / "t.pgm", px)
+    assert ds.levels().tolist() == [[0, 2, 2, 254]]
+    assert read_pgm_levels(tmp_path / "t.pgm").tolist() == [[0, 2, 2, 254]]
+    assert ds.matrix().tobytes() == (np.array([[0.0, 2.0, 2.0, 254.0]]) / 255.0).tobytes()

@@ -275,7 +275,7 @@ def test_validation_leak_is_refused(small_corpus):
 def flipped(ds, n):
     """Left-right mirror images of the first n rows of ds, under new ids."""
     h, w = ds.height, ds.width
-    mirrored = np.ascontiguousarray(ds.matrix()[:n].reshape(n, h, w)[:, :, ::-1]).reshape(n, h * w)
+    mirrored = np.ascontiguousarray(ds.levels()[:n].reshape(n, h, w)[:, :, ::-1]).reshape(n, h * w)
     return Dataset.from_matrix(mirrored, h, w, [f"flip-{rec.id}" for rec in ds.records[:n]],
                                ds.labels()[:n].tolist(), ds.groups()[:n])
 

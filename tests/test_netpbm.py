@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from biasgrid.errors import DataError
-from biasgrid.netpbm import read_pgm, write_pgm, write_ppm
+from biasgrid.netpbm import quantize, read_pgm, read_pgm_levels, write_pgm, write_pgm_levels, write_ppm
 
 
 def test_round_trip_quantizes_by_rint(tmp_path):
@@ -24,6 +24,18 @@ def test_values_on_the_8bit_lattice_round_trip_exactly(tmp_path):
     path = tmp_path / "lattice.pgm"
     write_pgm(path, img)
     assert np.array_equal(read_pgm(path), img)
+
+
+def test_every_level_reads_as_its_division_by_255_and_quantizes_back(tmp_path):
+    levels = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    path = tmp_path / "levels.pgm"
+    write_pgm_levels(path, levels)
+    assert read_pgm_levels(path).tobytes() == levels.tobytes()
+    floats = read_pgm(path)
+    assert floats.tobytes() == (levels.astype(np.float64) / 255.0).tobytes()
+    assert quantize(floats).tobytes() == levels.tobytes()
+    with pytest.raises(DataError, match="uint8"):
+        write_pgm_levels(path, floats)
 
 
 def test_header_layout_and_payload_size(tmp_path):

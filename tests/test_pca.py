@@ -166,7 +166,7 @@ def test_project_matches_manual_formula():
 
 def test_fit_accepts_datasets_and_matrices_equally():
     rng = np.random.default_rng(8)
-    imgs = rng.random((10, 4, 5))
+    imgs = rng.integers(0, 256, size=(10, 4, 5)) / 255.0
     ds = Dataset.from_records(
         [ImageRecord(f"r{i}", imgs[i], i % 2) for i in range(10)]
     )
@@ -174,6 +174,17 @@ def test_fit_accepts_datasets_and_matrices_equally():
     b = fit(imgs.reshape(10, 20))
     assert np.array_equal(a.components, b.components)
     assert a.trained_on == b.trained_on
+
+
+def test_project_accepts_datasets_and_matrices_equally():
+    rng = np.random.default_rng(9)
+    ds = Dataset.from_records(
+        [ImageRecord(f"r{i}", rng.integers(0, 256, size=(4, 5)) / 255.0, i % 2) for i in range(10)]
+    )
+    basis = fit(ds)
+    mat = ds.matrix()
+    assert project(basis, ds).tobytes() == project(basis, mat).tobytes()
+    assert mat.tobytes() == ds.matrix().tobytes()  # a caller's matrix is not centered in place
 
 
 @pytest.mark.parametrize("layout", ["c-order", "fortran-order", "strided-view", "dataset"])

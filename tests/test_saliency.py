@@ -64,7 +64,7 @@ def test_compute_failures_is_score_label_gap():
 
 def test_compute_failures_keeps_dataset_order():
     # ids out of sorted order and distinct scores: every array follows the records
-    rows = (("z", 0.9, 0), ("a", 0.2, 1), ("m", 0.5, 1))
+    rows = (("z", 230 / 255, 0), ("a", 51 / 255, 1), ("m", 128 / 255, 1))
     ds = Dataset.from_records([ImageRecord(i, np.full((2, 2), v), y) for i, v, y in rows])
     model = RefModel(weights=np.full(4, 2.0), bias=-4.0)  # score = sigmoid(8 v - 4)
     failures = compute_failures(model, ds)
