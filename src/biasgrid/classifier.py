@@ -12,16 +12,29 @@ accuracy plus early_stop_min_delta reaches 1.0, because no later epoch
 could then be kept.
 
 Training reads the dataset's uint8 levels and sees the floats
-levels / 255.0. It copies only the stop split out as floats. Each gradient
-step gathers its batch's rows of levels by index and divides them into one
-float buffer reused by every step, and each epoch records the stop split's
-loss and accuracy; no pass over the whole fit split is made beyond the
-gradient steps themselves.
+levels / 255.0. It copies only the stop split out as floats. The fit rows
+reach the gradient steps in blocks of BLOCK_BATCHES batches: one helper
+thread gathers a block's levels by row index and divides them into one of
+two reused float buffers, while the calling thread runs the steps on the
+other buffer's block. The next block is always queued: when the steps
+ask for block j + 1, block j + 2 is queued into block j's buffer, across
+epoch boundaries, and an epoch's shuffle is drawn when its first block is
+queued. The two overlap because numpy releases the GIL in BLAS products
+and in ufunc loops over large arrays. Each batch is still a C-contiguous
+row slice holding the same rows in the same order, so every parameter is
+the one a step-by-step gather would give. The thread starts with the
+first epoch and is joined before the call returns or raises. Each epoch
+records the stop split's loss and accuracy; no pass over the whole fit
+split is made beyond the gradient steps themselves.
 """
 
 from __future__ import annotations
 
 import json
+import queue
+import threading
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +43,9 @@ import numpy as np
 from .dataset import Dataset
 from .errors import DataError
 from .seeding import make_rng
+
+# Batches per block handed between the helper thread and the gradient steps.
+BLOCK_BATCHES = 4
 
 
 @dataclass(frozen=True)
@@ -134,6 +150,67 @@ def accuracy(model: RefModel, dataset: Dataset) -> float:
     return accuracy_from_scores(predict_dataset(model, dataset), dataset.labels())
 
 
+def _blocks(fit_idx: np.ndarray, size: int, hyper: TrainHyper, rng):
+    """Every epoch's fit rows in training order, as (rows, last in epoch)
+    blocks of `size` rows. An epoch's shuffle is drawn from rng when its
+    first block is asked for."""
+    n_fit = fit_idx.shape[0]
+    for _ in range(hyper.max_epochs):
+        rows = fit_idx if hyper.full_batch else fit_idx[rng.permutation(n_fit)]
+        for start in range(0, n_fit, size):
+            yield rows[start : start + size], start + size >= n_fit
+
+
+def _divide(levels: np.ndarray, requests: queue.SimpleQueue, done: queue.SimpleQueue) -> None:
+    """Helper thread: divide each requested block's levels into its buffer,
+    in request order, and report each as done (None) or its error, which
+    the caller raises, until None is requested."""
+    while (job := requests.get()) is not None:
+        rows, buf = job
+        try:
+            np.divide(levels[rows], 255.0, out=buf[: len(rows)])
+        except BaseException as exc:
+            done.put(exc)
+        else:
+            done.put(None)
+
+
+def _divided_blocks(levels: np.ndarray, labels: np.ndarray, blocks, size: int):
+    """Yield (x, y, last in epoch) per block, x = levels[rows] / 255.0.
+
+    The helper thread starts at the first next() and divides a block ahead
+    into the other of two buffers; the buffer of a yielded block is queued
+    for the block two further on when the next one is asked for. Closing
+    the generator joins the thread.
+    """
+    buffers = np.empty((2, size, levels.shape[1]))
+    requests: queue.SimpleQueue = queue.SimpleQueue()
+    done: queue.SimpleQueue = queue.SimpleQueue()
+    queued: deque = deque()
+
+    def request(buf: np.ndarray) -> None:
+        block = next(blocks, None)
+        if block is not None:
+            requests.put((block[0], buf))
+            queued.append((*block, buf))
+
+    helper = threading.Thread(target=_divide, args=(levels, requests, done), name="biasgrid-divide", daemon=True)
+    helper.start()
+    try:
+        for buf in buffers:
+            request(buf)
+        while queued:
+            rows, last, buf = queued.popleft()
+            error = done.get()
+            if error is not None:
+                raise error
+            yield buf[: len(rows)], labels[rows], last
+            request(buf)
+    finally:
+        requests.put(None)
+        helper.join()
+
+
 def _optimize(w0: np.ndarray, b0: float, dataset: Dataset, hyper: TrainHyper) -> RefModel:
     hyper.validate()
     labels = dataset.labels()
@@ -148,8 +225,12 @@ def _optimize(w0: np.ndarray, b0: float, dataset: Dataset, hyper: TrainHyper) ->
     stop_idx, fit_idx = perm[:n_stop], perm[n_stop:]
     stop_x, stop_y = levels[stop_idx] / 255.0, labels[stop_idx]
     n_fit = fit_idx.shape[0]
-    # every batch's rows are divided into this one buffer
-    batch_x = np.empty((n_fit if hyper.full_batch else min(hyper.batch_size, n_fit), levels.shape[1]))
+    step = n_fit if hyper.full_batch else hyper.batch_size
+    # A block is BLOCK_BATCHES whole batches, or a whole epoch. Its rows are
+    # gathered from the dataset's levels by index; no copy of the fit split
+    # is kept across blocks or calls.
+    size = min(BLOCK_BATCHES * step, n_fit)
+    stream = _divided_blocks(levels, labels, _blocks(fit_idx, size, hyper, rng), size)
 
     w = w0.astype(np.float64).copy()
     b = float(b0)
@@ -158,33 +239,30 @@ def _optimize(w0: np.ndarray, b0: float, dataset: Dataset, hyper: TrainHyper) ->
     history: list[tuple[float, float]] = []
     bad_epochs = 0
 
-    for epoch in range(1, hyper.max_epochs + 1):
-        # A stop accuracy never exceeds 1.0, so from here the improvement
-        # test below cannot pass again. Valid only for that accuracy rule.
-        if best_acc + hyper.early_stop_min_delta >= 1.0:
-            break
-        # Batches are gathered from the dataset's levels by row index; no
-        # copy of the fit split is kept across steps or calls.
-        if hyper.full_batch:
-            batches = [fit_idx]
-        else:
-            order = rng.permutation(n_fit)
-            batches = [fit_idx[order[i : i + hyper.batch_size]] for i in range(0, n_fit, hyper.batch_size)]
-        for batch in batches:
-            x = np.divide(levels[batch], 255.0, out=batch_x[: len(batch)])
-            grad_w, grad_b = loss_gradient(w, b, x, labels[batch], hyper.l2)
-            w -= hyper.learning_rate * grad_w
-            b -= hyper.learning_rate * grad_b
-        stop_acc = accuracy_from_scores(sigmoid(stop_x @ w + b), stop_y)
-        history.append((loss_value(w, b, stop_x, stop_y, hyper.l2), stop_acc))
-        if stop_acc > best_acc + hyper.early_stop_min_delta:
-            best_acc = stop_acc
-            best_w, best_b, best_epoch = w.copy(), b, epoch
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= hyper.early_stop_patience:
+    with closing(stream):
+        for epoch in range(1, hyper.max_epochs + 1):
+            # A stop accuracy never exceeds 1.0, so from here the improvement
+            # test below cannot pass again. Valid only for that accuracy rule.
+            if best_acc + hyper.early_stop_min_delta >= 1.0:
                 break
+            # breaking out of this loop leaves the stream open at the next epoch
+            for x, y, last in stream:
+                for i in range(0, len(y), step):
+                    grad_w, grad_b = loss_gradient(w, b, x[i : i + step], y[i : i + step], hyper.l2)
+                    w -= hyper.learning_rate * grad_w
+                    b -= hyper.learning_rate * grad_b
+                if last:
+                    break
+            stop_acc = accuracy_from_scores(sigmoid(stop_x @ w + b), stop_y)
+            history.append((loss_value(w, b, stop_x, stop_y, hyper.l2), stop_acc))
+            if stop_acc > best_acc + hyper.early_stop_min_delta:
+                best_acc = stop_acc
+                best_w, best_b, best_epoch = w.copy(), b, epoch
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+                if bad_epochs >= hyper.early_stop_patience:
+                    break
     return RefModel(
         weights=best_w, bias=best_b, trained_epochs=len(history), best_epoch=best_epoch, history=history
     )

@@ -1,13 +1,18 @@
-"""Reference classifier: gradients, early stopping, fine-tuning, model files."""
+"""Reference classifier: gradients, early stopping, its helper thread, fine-tuning, model files."""
 
 import json
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from biasgrid import classifier
 from biasgrid.classifier import (
+    BLOCK_BATCHES,
     RefModel,
     TrainHyper,
     _optimize,
@@ -206,6 +211,169 @@ def test_ceiling_exit_keeps_the_pre_exit_result(name):
     if name == "min_delta":
         assert ref_best_acc < 1.0
     if name == "never_saturates":
+        assert got.history == ref.history
+
+
+def finishes(fn, timeout=60.0):
+    """fn()'s result, or its error re-raised, from a daemon thread: a call
+    that deadlocks fails the test after `timeout` seconds instead of hanging."""
+    out = {}
+
+    def target():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:
+            out["error"] = exc
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), f"no return within {timeout} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+@pytest.fixture
+def helper_starts(monkeypatch):
+    """A list that gets one entry each time _optimize's helper thread runs."""
+    starts = []
+    divide = classifier._divide
+
+    def counted(*args):
+        starts.append(1)
+        divide(*args)
+
+    monkeypatch.setattr(classifier, "_divide", counted)
+    return starts
+
+
+@pytest.mark.parametrize("full_batch", [False, True], ids=["mini_batch", "full_batch"])
+def test_training_leaves_no_thread_running(helper_starts, full_batch):
+    ds = toy_dataset(n=300, gap=0.0, sigma=0.1, seed=3)
+    hyper = TrainHyper(learning_rate=0.3, max_epochs=6, full_batch=full_batch, seed=5)
+    before = threading.active_count()
+    model = finishes(lambda: train(ds, hyper))
+    assert threading.active_count() == before
+    finishes(lambda: fine_tune(model, ds, replace(hyper, seed=6)))
+    assert threading.active_count() == before
+    assert helper_starts == [1, 1]
+
+
+def test_an_error_mid_epoch_propagates_and_leaves_no_thread_running(helper_starts, monkeypatch):
+    # 270 fit rows make three blocks: the third step falls in the first
+    # one, while the second is queued
+    ds = toy_dataset(n=300, gap=0.0, sigma=0.1, seed=3)
+    calls = []
+    gradient = classifier.loss_gradient
+
+    def third_call_fails(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise FloatingPointError("third step")
+        return gradient(*args)
+
+    monkeypatch.setattr(classifier, "loss_gradient", third_call_fails)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="third step"):
+        finishes(lambda: train(ds, TrainHyper(max_epochs=5, seed=5)))
+    assert threading.active_count() == before
+    assert len(calls) == 3
+    assert helper_starts == [1]
+
+
+@pytest.mark.parametrize("name", ["saturated_fine_tune", "max_epochs_0"])
+def test_a_call_that_trains_no_epoch_starts_no_thread(helper_starts, name):
+    if name == "saturated_fine_tune":
+        w0, b0, ds, hyper = ceiling_case(name)
+    else:
+        ds = toy_dataset()
+        w0, b0, hyper = init_weights(ds, 3), 0.0, TrainHyper(max_epochs=0, seed=3)
+    helper_starts.clear()  # ceiling_case trains the model it fine-tunes
+    before = threading.active_count()
+    model = finishes(lambda: _optimize(w0, b0, ds, hyper))
+    assert model.trained_epochs == 0 and model.history == []
+    assert threading.active_count() == before
+    assert helper_starts == []
+
+
+def n_fit_of(n, hyper):
+    return n - min(n - 1, max(1, int(round(hyper.val_fraction * n))))
+
+
+NOISE_RUNS = {
+    # name: (images, hyper); labels carry no signal, so stop accuracy never
+    # reaches the ceiling and each run goes to patience or max_epochs
+    "one_block": (60, TrainHyper(learning_rate=0.3, max_epochs=30, early_stop_patience=8, seed=5)),
+    "one_block_full_batch": (60, TrainHyper(learning_rate=0.5, max_epochs=30, l2=0.0, full_batch=True, seed=4)),
+    "full_batch_wider_than_a_default_block": (
+        300, TrainHyper(learning_rate=0.5, max_epochs=12, full_batch=True, early_stop_patience=30, seed=4)
+    ),
+    "ragged_block_and_batch": (362, TrainHyper(learning_rate=0.3, max_epochs=20, early_stop_patience=6, seed=7)),
+    "batch_wider_than_a_default_block": (
+        1000, TrainHyper(learning_rate=0.2, max_epochs=8, batch_size=150, early_stop_patience=30, seed=8)
+    ),
+    "fit_split_below_one_batch": (20, TrainHyper(learning_rate=0.3, max_epochs=15, early_stop_patience=30, seed=9)),
+    "ends_at_max_epochs": (300, TrainHyper(learning_rate=0.3, max_epochs=7, early_stop_patience=30, seed=5)),
+    "patience_stop_with_blocks_queued": (
+        700, TrainHyper(learning_rate=0.3, max_epochs=200, early_stop_patience=2, seed=6)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(NOISE_RUNS))
+def test_block_stream_matches_the_reference_loop(name):
+    n, hyper = NOISE_RUNS[name]
+    # rows wide enough that a block's division runs outside the GIL while
+    # the steps run, as on real images
+    ds = toy_dataset(n=n, side=48, gap=0.0, sigma=0.1, seed=3)
+    w0 = init_weights(ds, hyper.seed)
+    got = finishes(lambda: _optimize(w0, 0.0, ds, hyper))
+    ref, ref_best_acc, _ = reference_optimize(w0, 0.0, ds, hyper)
+    assert ref_best_acc + hyper.early_stop_min_delta < 1.0
+    assert got.weights.tobytes() == ref.weights.tobytes()
+    assert got.bias == ref.bias
+    assert got.best_epoch == ref.best_epoch
+    assert got.history == ref.history
+    assert got.trained_epochs == ref.trained_epochs
+    # each case has the shape its name says
+    n_fit = n_fit_of(n, hyper)
+    block = BLOCK_BATCHES * (n_fit if hyper.full_batch else hyper.batch_size)
+    shape = {
+        "one_block": n_fit <= block,
+        "one_block_full_batch": n_fit <= block,
+        "full_batch_wider_than_a_default_block": n_fit > 128,
+        "ragged_block_and_batch": n_fit > 2 * block and n_fit % block % hyper.batch_size != 0
+        and n_fit % block > hyper.batch_size,
+        "batch_wider_than_a_default_block": hyper.batch_size > 128 and n_fit > block,
+        "fit_split_below_one_batch": n_fit < hyper.batch_size,
+        "ends_at_max_epochs": got.trained_epochs == hyper.max_epochs and n_fit > block,
+        "patience_stop_with_blocks_queued": got.trained_epochs < hyper.max_epochs and n_fit > 2 * block,
+    }[name]
+    assert shape
+
+
+def test_concurrent_calls_under_fast_thread_switching_match_the_reference():
+    # three calls at once, each with its helper thread: more threads than
+    # cores, switching every microsecond, so a buffer refilled while its
+    # block is still in use would change the parameters
+    n, hyper = NOISE_RUNS["ragged_block_and_batch"]
+    ds = toy_dataset(n=n, side=48, gap=0.0, sigma=0.1, seed=3)
+    w0 = init_weights(ds, hyper.seed)
+    ref, _, _ = reference_optimize(w0, 0.0, ds, hyper)
+
+    def three_at_once():
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            return list(pool.map(lambda _: _optimize(w0, 0.0, ds, hyper), range(3)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        models = finishes(three_at_once)
+    finally:
+        sys.setswitchinterval(interval)
+    for got in models:
+        assert got.weights.tobytes() == ref.weights.tobytes()
         assert got.history == ref.history
 
 
