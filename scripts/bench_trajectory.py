@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from repeat import seeds  # noqa: E402
 
-TRACED = ("classifier.fine_tune.s", "classifier.train.s", "classifier.epoch_rows_per_s")
+TRACED = ("loop.self.s", "synth.generate_split.s", "classifier.fine_tune.s")
 
 
 def run(side: str, checkout: Path, spec: dict, workload: str, seed: int, trace: int) -> dict:

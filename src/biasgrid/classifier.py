@@ -333,4 +333,6 @@ def load_model(path) -> RefModel:
         raise DataError(f"{path}: malformed model file: {exc}") from exc
     if model.weights.ndim != 1 or model.weights.shape[0] != obj["dim"]:
         raise DataError(f"{path}: weight count does not match declared dim")
+    if not all(np.isfinite(a).all() for a in (model.weights, model.bias, model.history)):
+        raise DataError(f"{path}: model file holds a non-finite number")
     return model

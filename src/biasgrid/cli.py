@@ -117,7 +117,7 @@ def cmd_synth(args) -> int:
     for name, ds in (("train", train_ds), ("val", val_ds), ("pool", pool_ds)):
         manifest = out / f"{name}.jsonl"
         save_dataset(ds, manifest)
-        print(f"wrote {manifest} ({len(ds.records)} records)")
+        print(f"wrote {manifest} ({len(ds)} records)")
     return 0
 
 

@@ -1,11 +1,12 @@
 """Image records, datasets, and JSONL manifest I/O.
 
-A Dataset stores its images as the 8-bit images they are: one N x P uint8
-matrix of levels, P = H * W, each image flattened row-major into one row.
-The levels are C-contiguous and read-only, and `levels()` returns them
-without copying; labels are a stored read-only float64 array beside them.
-A dataset never changes once built. Every way to build one checks what it
-adds, so nothing checks a built dataset's rows again.
+A Dataset is four columns in row order: one N x P uint8 matrix of levels,
+P = H * W, each image flattened row-major into one row; the ids; the labels
+as a float64 array; and the group tags. The levels are C-contiguous and
+read-only, and `levels()` returns them without copying, as `labels()` does
+its read-only array; `ids()` and `groups()` return fresh lists. A dataset
+never changes once built. Every way to build one checks what it adds, so
+nothing checks a built dataset's rows again.
 
 Float pixels enter at one place, `from_records`, which checks them (finite,
 in [0, 1]) and quantizes them by netpbm's one rule, rint(v * 255) with ties
@@ -19,12 +20,8 @@ needs the whole matrix more than once holds the one `matrix()` gave it.
 Rows move by position, in blocks; no API looks a record up by id.
 `take(indices)` copies those rows into a new dataset. `appended(rows)`
 adds the rows of the Dataset `rows` after this one's (or only those at
-given positions), refusing another image size or an id already held. It
-writes into a row buffer with spare capacity (half as many rows again);
-the first dataset appended to a receiver takes over its spare rows, so
-only the new rows are copied. A later `appended` on the same receiver, or
-one that does not fit, copies both into a fresh buffer: a chain of appends
-copies the rows it holds only when it outgrows a buffer.
+given positions), refusing another image size or an id already held, and
+copies both into one new level matrix of the exact size.
 
 A manifest is one JSON object per line with keys "id" (string), "path"
 (image file relative to the manifest's directory), "label" (0 or 1), and
@@ -105,30 +102,25 @@ def _size_mismatch(rec_id: str, shape: tuple[int, int], height: int, width: int)
 
 
 class Dataset:
-    """Ordered, dimension-consistent image records backed by one N x P
-    uint8 level matrix.
+    """Ordered, dimension-consistent images held as four columns: a
+    read-only N x P uint8 level matrix, the ids, a read-only float64 label
+    array, and the group tags, all in row order.
 
     Build one with from_records, from_matrix, take or appended; the
-    constructor itself trusts its arguments and checks nothing. Its
-    records are the first len(ids) rows of `buffer`; any rows after them
-    are the spare space that the first `appended` may fill.
+    constructor itself trusts its arguments and checks nothing. `records`
+    builds a read-only record view of each row on access.
     """
 
-    def __init__(self, buffer: np.ndarray, height: int, width: int,
-                 ids: list[str], labels: list[int], groups: list[str | None]):
-        levels = buffer[: len(ids)]
+    def __init__(self, levels: np.ndarray, height: int, width: int,
+                 ids: list[str], labels: list | np.ndarray, groups: list[str | None]):
         levels.flags.writeable = False
         self._levels = levels
-        self._spare = buffer if buffer.shape[0] > len(ids) else None
+        self._ids = list(ids)
         self._labels = np.array(labels, dtype=np.float64)
         self._labels.flags.writeable = False
+        self._groups = list(groups)
         self.height = height
         self.width = width
-        views = levels.reshape(len(ids), height, width)
-        self.records = [
-            _Row(views[i], rec_id, int(label), group)
-            for i, (rec_id, label, group) in enumerate(zip(ids, labels, groups))
-        ]
 
     @classmethod
     def from_matrix(cls, levels: np.ndarray, height: int, width: int,
@@ -142,7 +134,6 @@ class Dataset:
         if levels.dtype != np.uint8 or not levels.flags.c_contiguous or levels.shape != (len(ids), height * width):
             raise DataError(f"expected a C-contiguous uint8 {len(ids)}x{height * width} matrix")
         _check_rows(ids, labels)
-        levels.flags.writeable = False
         return cls(levels, height, width, ids, labels, groups)
 
     @classmethod
@@ -171,46 +162,45 @@ class Dataset:
         """A new dataset of the rows at `indices`, in that order, copied out
         of the level matrix as one block; a repeated index raises a DataError."""
         idx = np.asarray(indices, dtype=np.intp)
-        if len(set(idx.tolist())) != len(idx):
+        picked = idx.tolist()
+        if len(set(picked)) != len(picked):
             raise DataError("take: repeated row index")
-        picked = [self.records[i] for i in idx]
-        return Dataset(self._levels[idx], self.height, self.width, [rec.id for rec in picked],
-                       [rec.label for rec in picked], [rec.group for rec in picked])
+        return Dataset(self._levels[idx], self.height, self.width, [self._ids[i] for i in picked],
+                       self._labels[idx], [self._groups[i] for i in picked])
 
     def appended(self, rows: "Dataset", indices=None) -> "Dataset":
-        """A new dataset: this one's records, then those of `rows` at
-        `indices` in that order (all of them when None), copied from its
-        levels straight into this dataset's buffer. A picked row of another
-        image size, with an id this dataset holds, or picked twice raises a
-        DataError. This dataset is unchanged either way."""
+        """A new dataset: this one's rows, then those of `rows` at `indices`
+        in that order (all of them when None), both copied into one new level
+        matrix of the exact size. A picked row of another image size, with an
+        id this dataset holds, or picked twice raises a DataError. This
+        dataset is unchanged either way."""
         idx = np.arange(len(rows)) if indices is None else np.asarray(indices, dtype=np.intp)
-        picked = [rows.records[i] for i in idx]
-        if picked and (rows.height, rows.width) != (self.height, self.width):
-            raise _size_mismatch(picked[0].id, (rows.height, rows.width), self.height, self.width)
-        held = set(self.ids())
-        for rec in picked:  # a repeated index repeats an id
-            if rec.id in held:
-                raise DataError(f"duplicate id '{rec.id}'")
-            held.add(rec.id)
-        n = len(self.records)
-        total = n + len(picked)
-        buffer = self._spare
-        if buffer is None or buffer.shape[0] < total:
-            buffer = np.empty((total + total // 2, self._levels.shape[1]), dtype=np.uint8)
-            buffer[:n] = self._levels
-        # `picked` has refused an index out of range; mode "wrap" then reads
-        # the same rows as "raise" would, and writes them without a buffer
-        np.take(rows.levels(), idx, axis=0, out=buffer[n:total], mode="wrap")
-        self._spare = None
-        whole = self.records + picked
-        return Dataset(buffer, self.height, self.width,
-                       [rec.id for rec in whole], [rec.label for rec in whole], [rec.group for rec in whole])
+        picked = idx.tolist()
+        ids = [rows._ids[i] for i in picked]
+        if ids and (rows.height, rows.width) != (self.height, self.width):
+            raise _size_mismatch(ids[0], (rows.height, rows.width), self.height, self.width)
+        held = set(self._ids)
+        for rec_id in ids:  # a repeated index repeats an id
+            if rec_id in held:
+                raise DataError(f"duplicate id '{rec_id}'")
+            held.add(rec_id)
+        return Dataset(np.concatenate((self._levels, rows._levels[idx])), self.height, self.width,
+                       self._ids + ids, np.concatenate((self._labels, rows._labels[idx])),
+                       self._groups + [rows._groups[i] for i in picked])
+
+    @property
+    def records(self) -> list[ImageRecord]:
+        """One record per row, in order, built on each access: its pixels
+        are computed from the row's levels and are read-only."""
+        views = self._levels.reshape(len(self), self.height, self.width)
+        return [_Row(view, rec_id, int(label), group)
+                for view, rec_id, label, group in zip(views, self._ids, self._labels.tolist(), self._groups)]
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._ids)
 
     def ids(self) -> list[str]:
-        return [rec.id for rec in self.records]
+        return list(self._ids)
 
     def levels(self) -> np.ndarray:
         """The stored N x P uint8 level matrix (row-major flattening), read-only."""
@@ -221,11 +211,11 @@ class Dataset:
         return self._levels / 255.0
 
     def labels(self) -> np.ndarray:
-        """The stored read-only float64 label array, aligned with records."""
+        """The stored read-only float64 label array, aligned with the rows."""
         return self._labels
 
     def groups(self) -> list[str | None]:
-        return [rec.group for rec in self.records]
+        return list(self._groups)
 
 
 def load_manifest(path) -> Dataset:
@@ -299,11 +289,11 @@ def save_dataset(dataset: Dataset, manifest_path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = []
     images = dataset.levels().reshape(len(dataset), dataset.height, dataset.width)
-    for rec, image in zip(dataset.records, images):
-        rel_path = f"{rel_dir}/{rec.id}.pgm"
+    for rec_id, label, group, image in zip(dataset.ids(), dataset.labels().tolist(), dataset.groups(), images):
+        rel_path = f"{rel_dir}/{rec_id}.pgm"
         write_pgm_levels(manifest_path.parent / rel_path, image)
-        obj: dict = {"id": rec.id, "path": rel_path, "label": rec.label}
-        if rec.group is not None:
-            obj["group"] = rec.group
+        obj: dict = {"id": rec_id, "path": rel_path, "label": int(label)}
+        if group is not None:
+            obj["group"] = group
         lines.append(json.dumps(obj))
     manifest_path.write_text("\n".join(lines) + "\n", encoding="utf-8")

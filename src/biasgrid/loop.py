@@ -5,7 +5,7 @@ Iteration 0 trains the base model on the original training set. Each later
 iteration renders the similarity grid with the current model's failure
 overlay, asks a selector for (MatchSet, Dataset), the audit record saved
 as matchset.json and the rows to add, appends the rows the working set
-lacks (copied once, straight into the working set's buffer), and
+lacks (copied once, into a new working set), and
 fine-tunes at that iteration's learning rate. Rows may come from anywhere
 but the validation and test sets. Each trained model scores the validation
 set once, for its record and the next iteration, and a model no fine-tune
@@ -174,7 +174,7 @@ def _run(
     select: Callable[[int, FailureScores, np.ndarray, Callable[[], np.ndarray]], tuple[MatchSet, Dataset]],
 ) -> list[LoopState]:
     cfg.validate()
-    if len(pool.records) == 0:
+    if len(pool) == 0:
         raise DataError("augmentation pool is empty")
     for ds, name in ((val, "validation"), (pool, "pool"), (test, "test")):
         if ds is not None and (ds.height, ds.width) != (train_ds.height, train_ds.width):
@@ -262,7 +262,7 @@ def _run(
             test_accuracy=test_acc,
             selected_val_ids=sel,
             matched_pool_ids=matched,
-            train_size=len(working.records),
+            train_size=len(working),
             selection_mode=mode,
             saliency_path=sal_rel,
         )
@@ -306,7 +306,7 @@ def run_loop(
     out_dir=None,
 ) -> list[LoopState]:
     """Targeted remediation: sample validation failures, match pool images."""
-    k = cfg.resolved_k(len(val.records))
+    k = cfg.resolved_k(len(val))
     pool_row = {pid: i for i, pid in enumerate(pool.ids())}
 
     def select(t: int, failures, val_coords, project_pool) -> tuple[MatchSet, Dataset]:
@@ -330,7 +330,7 @@ def run_random_baseline(
     out_dir=None,
 ) -> list[LoopState]:
     """Control arm: per iteration, k*m uniform pool draws instead of matching."""
-    k = cfg.resolved_k(len(val.records))
+    k = cfg.resolved_k(len(val))
     budget = k * cfg.m
 
     def select(t: int, failures, val_coords, project_pool) -> tuple[MatchSet, Dataset]:

@@ -232,6 +232,8 @@ def load_basis(path) -> PcaBasis:
         raise DataError(f"{path}: components must be P x 2")
     if basis.mean.shape != basis.components.shape[:1]:
         raise DataError(f"{path}: mean must hold one entry per component row ({basis.components.shape[0]})")
+    if not all(np.isfinite(a).all() for a in (basis.mean, basis.components, basis.singular_values)):
+        raise DataError(f"{path}: basis file holds a non-finite number")
     gram = basis.components.T @ basis.components
     if np.max(np.abs(gram - np.eye(2))) > ORTHONORMALITY_TOL:
         raise DataError(f"{path}: basis columns are not orthonormal")

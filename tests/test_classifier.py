@@ -475,3 +475,23 @@ def test_load_model_rejects_malformed_files(tmp_path, obj, message):
     path.write_text(json.dumps(obj))
     with pytest.raises(DataError, match=message):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("weights", [1.0, float("inf")]),
+        ("weights", [float("-inf"), 2.0]),
+        ("bias", float("nan")),
+        ("history", [[0.5, 0.75], [float("nan"), 0.75]]),
+    ],
+    ids=["infinite_weight", "negative_infinite_weight", "nan_bias", "nan_history_loss"],
+)
+def test_load_model_rejects_a_non_finite_number(tmp_path, key, value):
+    # json reads NaN and Infinity, and json.dumps writes them
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({**GOOD_MODEL, key: value}))
+    with pytest.raises(DataError, match=r"m\.json: model file holds a non-finite number"):
+        load_model(path)
+    path.write_text(json.dumps(GOOD_MODEL))
+    assert load_model(path).weights.tolist() == [1.0, 2.0]  # the unedited file is valid

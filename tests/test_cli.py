@@ -159,6 +159,28 @@ def test_visualize_malformed_model_exits_three(tmp_path, small_cfg, capsys):
     assert "data error" in err and "lacks key 'weights'" in err
 
 
+@pytest.mark.parametrize("bad", ["basis", "model"])
+def test_visualize_a_non_finite_number_in_the_basis_or_model_exits_three(tmp_path, small_cfg, capsys, bad):
+    out = run_synth(tmp_path, small_cfg)
+    args = ["--out-dir", str(out)]
+    main(args + ["fit-pca", "--manifest", str(out / "val.jsonl"), "--out", "basis.json"])
+    main(args + ["train", "--manifest", str(out / "train.jsonl"), "--out-model", "model.json"])
+    path = out / f"{bad}.json"
+    obj = json.loads(path.read_text())
+    if bad == "basis":
+        obj["mean"][0] = float("nan")
+    else:
+        obj["weights"][0] = float("inf")
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    code = main(args + ["visualize", "--manifest", str(out / "val.jsonl"), "--basis", str(out / "basis.json"),
+                        "--model", str(out / "model.json"), "--out", "grid.ppm"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "data error" in err and f"{bad}.json: {bad} file holds a non-finite number" in err
+    assert not (out / "grid.ppm").exists()
+
+
 def test_loop_generates_corpus_when_no_manifests(tmp_path, small_cfg, capsys):
     out = tmp_path / "work"
     code = main(["--config", str(small_cfg), "--out-dir", str(out), "loop", "--run-name", "r1"])

@@ -289,11 +289,11 @@ def test_matrix_is_one_stored_read_only_array_and_records_are_its_rows():
 def test_appended_leaves_the_receiver_unchanged():
     records = clean_records()
     base = Dataset.from_records(records[:5])
-    levels, ids, recs = base.levels(), base.ids(), list(base.records)
+    levels, ids, labels, groups = base.levels(), base.ids(), base.labels().tobytes(), base.groups()
     before = levels.tobytes()
     grown = base.appended(Dataset.from_records(records[5:]))
     assert base.levels() is levels and levels.tobytes() == before
-    assert base.ids() == ids and base.records == recs and len(base) == 5
+    assert base.ids() == ids and base.labels().tobytes() == labels and base.groups() == groups and len(base) == 5
     assert "r07" not in base.ids()
     whole = Dataset.from_records(grown.records)
     assert grown.matrix().tobytes() == whole.matrix().tobytes()
@@ -321,7 +321,7 @@ def test_take_copies_the_rows_at_the_indices_in_order():
 @pytest.mark.parametrize("bad", ["duplicate", "dimension"])
 def test_appended_refuses_a_held_id_or_another_size_and_keeps_the_receiver(bad):
     records = clean_records(12)
-    receiver = Dataset.from_records(records[:4]).appended(Dataset.from_records(records[4:6]))  # spare rows
+    receiver = Dataset.from_records(records[:4]).appended(Dataset.from_records(records[4:6]))
     before = receiver.matrix().tobytes()
     if bad == "duplicate":
         rows = Dataset.from_records(records[6:8] + [replace(records[8], id="r05")] + records[9:10])
@@ -333,10 +333,7 @@ def test_appended_refuses_a_held_id_or_another_size_and_keeps_the_receiver(bad):
         receiver.appended(rows)
     assert str(info.value) == message
     assert receiver.matrix().tobytes() == before and len(receiver) == 6
-    # the refused append left the spare rows to the next one
-    grown = receiver.appended(Dataset.from_records(records[6:8]))
-    assert np.shares_memory(grown.levels(), receiver.levels())
-    assert_is_from_records_of_its_records(grown)
+    assert_is_from_records_of_its_records(receiver.appended(Dataset.from_records(records[6:8])))
 
 
 def test_appended_copies_only_the_rows_at_the_indices():
@@ -361,16 +358,20 @@ def assert_is_from_records_of_its_records(ds):
     assert ds.labels().tobytes() == whole.labels().tobytes()
 
 
+def assert_no_two_share_memory(datasets):
+    for i, a in enumerate(datasets):
+        for b in datasets[i + 1 :]:
+            assert not np.shares_memory(a.levels(), b.levels())
+            assert not np.shares_memory(a.labels(), b.labels())
+
+
 def test_two_appends_onto_one_receiver_give_independent_datasets():
     records = clean_records(12)
-    # 6 rows, spare space
     receiver = Dataset.from_records(records[:4]).appended(Dataset.from_records(records[4:6]))
     before = receiver.matrix().tobytes()
     first = receiver.appended(Dataset.from_records(records[6:8]))
     second = receiver.appended(Dataset.from_records(records[8:11]))
-    # the first takes the receiver's spare rows; the second may not write there
-    assert np.shares_memory(first.levels(), receiver.levels())
-    assert not np.shares_memory(second.levels(), first.levels())
+    assert_no_two_share_memory([receiver, first, second])
     assert receiver.matrix().tobytes() == before and len(receiver) == 6
     for ds in (receiver, first, second):
         assert_is_from_records_of_its_records(ds)
@@ -386,30 +387,40 @@ def test_a_chain_of_appends_past_the_capacity_keeps_every_dataset():
         # a second append onto the same receiver, with records the chain takes later
         siblings.append(chain[-2].appended(Dataset.from_records(records[pos + step : pos + 2 * step])))
         pos += step
-    shared = [np.shares_memory(a.levels(), b.levels()) for a, b in zip(chain, chain[1:])]
-    assert any(shared) and not all(shared)
+    assert_no_two_share_memory(chain + siblings)
     for ds in chain + siblings:
         assert_is_from_records_of_its_records(ds)
 
 
-def test_an_append_into_spare_rows_copies_only_the_new_rows():
+def test_an_append_copies_the_result_once_and_the_new_rows_once():
     rng = np.random.default_rng(0)
     n, h, w, k = 1000, 64, 64, 50
     base = Dataset.from_matrix(rng.integers(0, 256, (n, h * w), dtype=np.uint8), h, w, [f"b{i}" for i in range(n)],
                                [i % 2 for i in range(n)], [None] * n)
-    new = [ImageRecord(f"n{i}", rng.random((h, w)), i % 2) for i in range(2 * k)]
-    receiver = base.appended(Dataset.from_records(new[:k]))  # a fresh buffer with spare rows
-    rows = Dataset.from_records(new[k:])
+    rows = Dataset.from_records([ImageRecord(f"n{i}", rng.random((h, w)), i % 2) for i in range(2 * k)])
     tracemalloc.start()
     try:
-        grown = receiver.appended(rows)
+        grown = base.appended(rows, range(0, 2 * k, 2))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # Beyond the rows, each record costs about 0.3 KiB (ids, labels, views).
-    # Copying the receiver's levels would add 1000 rows of 4 KiB.
-    assert peak < 2 * k * h * w + 1024 * len(grown)
+    # One uint8 result matrix plus the gathered new rows, and well under
+    # 0.25 KiB a row for ids, labels and groups. A float pass over the new
+    # rows alone would add 8 * k rows of 4 KiB; a second copy of the
+    # result, 1050 rows.
+    assert peak < (len(grown) + k) * h * w + 256 * len(grown)
     assert_is_from_records_of_its_records(grown)
+
+
+def test_the_lists_a_dataset_returns_are_the_callers():
+    ds = Dataset.from_records(clean_records(4))
+    ids, groups = ds.ids(), ds.groups()
+    ids[0], groups[0] = "x", "light"
+    ids.append("y")
+    groups.clear()
+    assert ds.ids() == ["r00", "r01", "r02", "r03"]
+    assert ds.groups() == [None, "dark", "dark", None]
+    assert len(ds) == 4 and [rec.id for rec in ds.records] == ds.ids()
 
 
 def test_generated_and_loaded_matrices_equal_from_records_of_their_records(tmp_path):

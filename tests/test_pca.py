@@ -312,6 +312,28 @@ def test_load_rejects_malformed_basis(tmp_path, obj, message):
     assert load_basis(path).mean.shape == (3,)  # the unedited file is valid
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("mean", [float("nan"), 0.0, 0.0]),
+        ("components", [[float("nan"), 0.0], [0.0, 1.0], [0.0, 0.0]]),
+        ("components", [[1.0, 0.0], [0.0, float("inf")], [0.0, 0.0]]),
+        ("singular_values", [2.0, float("-inf")]),
+        ("mean", "overflow"),
+    ],
+    ids=["nan_mean", "nan_component", "infinite_component", "infinite_singular_value", "overflowing_mean"],
+)
+def test_load_rejects_a_non_finite_number_in_the_basis(tmp_path, key, value):
+    # json reads NaN, Infinity and an overflowing literal such as 1e400
+    path = tmp_path / "basis.json"
+    if value == "overflow":
+        path.write_text(json.dumps(GOOD_BASIS).replace('"mean": [0.0', '"mean": [1e400'))
+    else:
+        path.write_text(json.dumps({**GOOD_BASIS, key: value}))
+    with pytest.raises(DataError, match=r"basis\.json: basis file holds a non-finite number"):
+        load_basis(path)
+
+
 def test_fingerprint_tracks_content_and_shape():
     a = np.zeros((2, 2))
     b = np.zeros((1, 4))
