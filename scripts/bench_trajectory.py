@@ -11,8 +11,9 @@ Each result is read from the last line run.py prints. The workload's entry
 in --out (other workloads' entries are kept) holds, per side, the median
 and quartiles of each end-to-end metric, the number of pairs the change
 won, the share of failed operations, and every traced layer metric per
-seed. Progress lines print the layer metrics in TRACED, and each untraced
-pair's setup_s on both sides.
+seed. A --seeds range of fewer than two seeds, or an empty --traced-seeds
+range, is refused before any run. Progress lines print the layer metrics
+in TRACED, and each untraced pair's setup_s on both sides.
 """
 
 import argparse
@@ -26,7 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from repeat import seeds  # noqa: E402
 
-TRACED = ("loop.self.s", "synth.generate_split.s", "classifier.fine_tune.s")
+TRACED = ("pca.fit.s", "pca.project.s", "dataset.matrix.calls")
 
 
 def run(side: str, checkout: Path, spec: dict, workload: str, seed: int, trace: int) -> dict:
@@ -40,6 +41,16 @@ def run(side: str, checkout: Path, spec: dict, workload: str, seed: int, trace: 
     return result
 
 
+def seed_list(least: int):
+    """An argparse type: a seeds range ("1-10", "3") of at least `least` seeds."""
+    def seed_range(text: str) -> list[int]:
+        values = seeds(text)
+        if len(values) < least:
+            raise argparse.ArgumentTypeError(f"{text!r} names {len(values)} seeds, fewer than {least}")
+        return values
+    return seed_range
+
+
 def summary(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
@@ -49,8 +60,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", type=seeds, default=seeds("1-10"))
-    parser.add_argument("--traced-seeds", type=seeds, default=seeds("1-2"))
+    # quartiles need two values a side, and the entry reads the first traced pair
+    parser.add_argument("--seeds", type=seed_list(2), default=seeds("1-10"))
+    parser.add_argument("--traced-seeds", type=seed_list(1), default=seeds("1-2"))
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))

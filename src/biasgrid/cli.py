@@ -149,10 +149,10 @@ def cmd_visualize(args) -> int:
     ds = load_manifest(args.manifest)
     basis = load_basis(args.basis)
     model = load_model(args.model)
-    mat = ds.matrix()  # one float copy, for the projection and the scoring
-    coords = project(basis, mat)
+    # each builds its own float matrix of ds, so no two are alive at once
+    coords = project(basis, ds)
     grid = make_grid(coords, cfg["grid.rows"], cfg["grid.cols"], ids=ds.ids())
-    failures = compute_failures(model, ds, mat)
+    failures = compute_failures(model, ds)
     image = render(grid, ds, failures, cell_px=cfg["render.cell_px"], alpha=cfg["render.alpha"])
     out = _resolve_out(cfg, args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

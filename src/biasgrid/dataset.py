@@ -21,7 +21,8 @@ Rows move by position, in blocks; no API looks a record up by id.
 `take(indices)` copies those rows into a new dataset. `appended(rows)`
 adds the rows of the Dataset `rows` after this one's (or only those at
 given positions), refusing another image size or an id already held, and
-copies both into one new level matrix of the exact size.
+copies both into one new level matrix of the exact size. A position
+outside [0, len) is refused by both, a negative one included.
 
 A manifest is one JSON object per line with keys "id" (string), "path"
 (image file relative to the manifest's directory), "label" (0 or 1), and
@@ -158,10 +159,23 @@ class Dataset:
         _check_rows(ids, labels, mat)
         return cls(quantize(mat), h, w, ids, labels, [rec.group for rec in records])
 
+    def _row_indices(self, indices, caller: str) -> np.ndarray:
+        """`indices` as a flat intp array of row positions, each in [0, len);
+        anything else raises a DataError. Negative positions are refused,
+        not counted from the end."""
+        idx = np.asarray(indices, dtype=np.intp)
+        if idx.ndim != 1:
+            raise DataError(f"{caller}: row indices must be a flat sequence")
+        outside = idx[(idx < 0) | (idx >= len(self))]
+        if outside.size:
+            raise DataError(f"{caller}: row index {outside[0]} outside [0, {len(self)})")
+        return idx
+
     def take(self, indices) -> "Dataset":
         """A new dataset of the rows at `indices`, in that order, copied out
-        of the level matrix as one block; a repeated index raises a DataError."""
-        idx = np.asarray(indices, dtype=np.intp)
+        of the level matrix as one block; an index outside [0, len) or a
+        repeated one raises a DataError."""
+        idx = self._row_indices(indices, "take")
         picked = idx.tolist()
         if len(set(picked)) != len(picked):
             raise DataError("take: repeated row index")
@@ -171,14 +185,18 @@ class Dataset:
     def appended(self, rows: "Dataset", indices=None) -> "Dataset":
         """A new dataset: this one's rows, then those of `rows` at `indices`
         in that order (all of them when None), both copied into one new level
-        matrix of the exact size. A picked row of another image size, with an
-        id this dataset holds, or picked twice raises a DataError. This
+        matrix of the exact size. An index outside [0, len(rows)), images of
+        another size (even when nothing is picked), or a picked row with an
+        id this dataset holds or picked twice raises a DataError. This
         dataset is unchanged either way."""
-        idx = np.arange(len(rows)) if indices is None else np.asarray(indices, dtype=np.intp)
+        idx = np.arange(len(rows)) if indices is None else rows._row_indices(indices, "appended")
         picked = idx.tolist()
         ids = [rows._ids[i] for i in picked]
-        if ids and (rows.height, rows.width) != (self.height, self.width):
-            raise _size_mismatch(ids[0], (rows.height, rows.width), self.height, self.width)
+        if (rows.height, rows.width) != (self.height, self.width):
+            if ids:
+                raise _size_mismatch(ids[0], (rows.height, rows.width), self.height, self.width)
+            raise DataError(f"dimension mismatch: rows are {rows.height}x{rows.width} images, "
+                            f"expected {self.height}x{self.width}")
         held = set(self._ids)
         for rec_id in ids:  # a repeated index repeats an id
             if rec_id in held:

@@ -21,12 +21,15 @@ norm rather than as the root of an eigenvalue. Tall input (N > P), and
 input whose second singular value falls below GRAM_MIN_RATIO times the
 first, takes a thin SVD of C instead.
 
-The trained_on fingerprint, a SHA-256 pass over the raw matrix that no step
-of the fit reads, runs on one helper thread while the calling thread
-centers the matrix and runs the Gram product, the iteration and the SVDs.
-The two overlap because hashlib releases the GIL while it hashes a large
-buffer, and numpy releases it in BLAS products and in ufunc loops over
-large arrays.
+The trained_on fingerprint, a SHA-256 pass over the C-order bytes of the
+float64 input matrix that no step of the fit reads, runs on one helper
+thread while the calling thread centers the matrix and runs the Gram
+product, the iteration and the SVDs. The two overlap because hashlib
+releases the GIL while it hashes a large buffer, and numpy releases it in
+BLAS products and in ufunc loops over large arrays. A Dataset's helper
+hashes levels / 255.0 one block of rows at a time, so no float copy is
+kept for it, and the fit builds its own float matrix and centers it in
+place: fitting a Dataset holds one N x P float64 array, not two.
 """
 
 from __future__ import annotations
@@ -61,6 +64,10 @@ SUBSPACE_MAX_STEPS = 32
 SUBSPACE_TOL = 64 * np.finfo(np.float64).eps
 SUBSPACE_SEED = 0
 
+# Bytes of float64 rows that dataset_fingerprint builds and hashes at a time
+# from a Dataset's levels (at least one row).
+FINGERPRINT_BLOCK_BYTES = 1 << 20
+
 
 @dataclass
 class PcaBasis:
@@ -86,22 +93,42 @@ def _as_matrix(data) -> np.ndarray:
     return arr
 
 
+def _minus(mat: np.ndarray, mean: np.ndarray, data) -> np.ndarray:
+    """mat - mean, where mat = _as_matrix(data). A Dataset's float matrix was
+    built for this call alone, so it is centered in place rather than copied."""
+    if isinstance(data, Dataset):
+        mat -= mean
+        return mat
+    return mat - mean
+
+
 def dataset_fingerprint(data) -> str:
-    """Stable hex fingerprint of the flattened image matrix."""
-    mat = np.ascontiguousarray(_as_matrix(data))
+    """Stable hex fingerprint of the flattened float64 image matrix: the
+    SHA-256 of its shape string and C-order bytes. A Dataset's matrix is
+    hashed one block of rows of levels / 255.0 at a time, never whole."""
     digest = hashlib.sha256()
-    digest.update(str(mat.shape).encode("ascii"))
-    digest.update(mat)
+    if isinstance(data, Dataset):
+        levels = data.levels()
+        digest.update(str(levels.shape).encode("ascii"))
+        step = max(1, FINGERPRINT_BLOCK_BYTES // (8 * levels.shape[1]))
+        for start in range(0, levels.shape[0], step):
+            digest.update(levels[start : start + step] / 255.0)
+    else:
+        mat = np.ascontiguousarray(_as_matrix(data))
+        digest.update(str(mat.shape).encode("ascii"))
+        digest.update(mat)
     return digest.hexdigest()[:16]
 
 
 def mean_center(data) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract the per-column (per-pixel) mean; returns (centered, mean)."""
+    """Subtract the per-column (per-pixel) mean; returns (centered, mean).
+    A caller's matrix is left as it is; a Dataset's is built and centered
+    in place."""
     mat = _as_matrix(data)
     if mat.shape[0] < 2:
         raise DataError(f"mean_center needs at least 2 rows, got {mat.shape[0]}")
     mean = mat.mean(axis=0)
-    return mat - mean, mean
+    return _minus(mat, mean, data), mean
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:
@@ -135,23 +162,28 @@ def _gram_top2(gram: np.ndarray) -> np.ndarray | None:
 def fit(data) -> PcaBasis:
     """Fit the rank-2 basis on a dataset or raw N x P matrix.
 
-    The fingerprint of the raw matrix is hashed on a helper thread while
-    this thread fits (see the module docstring); the thread is joined
-    before fit returns or raises, and an input refused for its shape
-    starts none.
+    The fingerprint of the input is hashed on a helper thread while this
+    thread fits (see the module docstring); the thread is joined before fit
+    returns or raises, and an input refused for its shape starts none. A
+    caller's matrix is never written to. A Dataset's float matrix is built
+    here and centered in place, while the helper hashes the Dataset's
+    levels block by block.
 
     Raises NumericalError when the centered spectrum is degenerate (the
     second singular value vanishes, e.g. all images identical or collinear).
     """
-    mat = _as_matrix(data)
-    n, p = mat.shape
+    if isinstance(data, Dataset):
+        source, (n, p) = data, data.levels().shape
+    else:
+        source = _as_matrix(data)
+        n, p = source.shape
     if n < 3:
         raise DataError(f"fit needs at least 3 rows, got {n}")
     if p < 2:
         raise DataError(f"fit needs at least 2 columns, got {p}")
     with ThreadPoolExecutor(max_workers=1) as hasher:
-        fingerprint = hasher.submit(dataset_fingerprint, mat)
-        centered, mean = mean_center(mat)
+        fingerprint = hasher.submit(dataset_fingerprint, source)
+        centered, mean = mean_center(source)
         if n <= p:
             gram = centered @ centered.T
             u2 = _gram_top2(gram)
@@ -180,17 +212,13 @@ def project(basis: PcaBasis, data) -> np.ndarray:
 
     Works for any dataset with matching pixel count, including ones the
     basis was not fitted on (e.g. an augmentation pool). A Dataset's float
-    matrix is built for this call alone, so it is centered in place rather
-    than copied.
+    matrix is built for this call alone and centered in place.
     """
     mat = _as_matrix(data)
     p = basis.mean.shape[0]
     if mat.shape[1] != p:
         raise DataError(f"dimension mismatch: data has {mat.shape[1]} pixels, basis expects {p}")
-    if isinstance(data, Dataset):
-        mat -= basis.mean
-        return mat @ basis.components
-    return (mat - basis.mean) @ basis.components
+    return _minus(mat, basis.mean, data) @ basis.components
 
 
 def save_basis(basis: PcaBasis, path) -> None:

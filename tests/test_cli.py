@@ -1,12 +1,16 @@
 """Command-line interface: subcommands, exit codes, locking, output routing."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from biasgrid.classifier import RefModel, save_model
 from biasgrid.cli import main
-from biasgrid.dataset import load_manifest
+from biasgrid.dataset import load_manifest, save_dataset
+from biasgrid.pca import fit, save_basis
+from biasgrid.synth import CorpusSpec, generate_split
 
 SMALL_CORPUS_CFG = """\
 corpus.n_train = 8
@@ -321,6 +325,29 @@ def test_visualize_takes_the_grid_shape_from_the_config_and_flags(tmp_path, smal
         sidecar = json.loads((out / "grid.json").read_text())
         assert (sidecar["rows"], sidecar["cols"]) == shape
     capsys.readouterr()
+
+
+def test_visualize_holds_one_float_matrix_of_the_manifest(tmp_path, capsys):
+    # Projection and scoring each build and drop their own float matrix; one
+    # held across both, or a centered copy beside it, would add 1x. The
+    # manifest's uint8 levels add 1/8.
+    n, hw = 256, 64
+    ds = generate_split(CorpusSpec(master_seed=4, height=hw, width=hw), "val", n)
+    save_dataset(ds, tmp_path / "val.jsonl")
+    save_basis(fit(ds), tmp_path / "basis.json")
+    save_model(RefModel(weights=np.random.default_rng(4).normal(0.0, 0.01, hw * hw), bias=0.0), tmp_path / "model.json")
+    show = ["--out-dir", str(tmp_path), "visualize", "--manifest", str(tmp_path / "val.jsonl"),
+            "--basis", str(tmp_path / "basis.json"), "--model", str(tmp_path / "model.json"),
+            "--out", "grid.ppm", "--sidecar", "grid.json"]
+    assert main(show) == 0  # warm up lazy imports outside the trace
+    tracemalloc.start()
+    try:
+        assert main(show) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 1.3 * n * hw * hw * 8
 
 
 def test_loop_refuses_locked_run_dir(tmp_path, small_cfg, capsys):

@@ -349,6 +349,40 @@ def test_appended_copies_only_the_rows_at_the_indices():
     assert len(receiver.appended(rows, [])) == 4
 
 
+@pytest.mark.parametrize("indices", [[-1], [0, 7], [4], [2, -5]], ids=["minus-one", "past-end", "len", "negative"])
+def test_take_and_appended_refuse_an_index_outside_the_rows(indices):
+    # a negative index is not counted from the end, and one past the end is
+    # a DataError, not numpy's IndexError
+    source = Dataset.from_records(clean_records(4))
+    receiver = Dataset.from_records(clean_records(8)[4:])
+    bad = next(i for i in indices if not 0 <= i < 4)
+    with pytest.raises(DataError, match=rf"^take: row index {bad} outside \[0, 4\)$"):
+        source.take(indices)
+    with pytest.raises(DataError, match=rf"^appended: row index {bad} outside \[0, 4\)$"):
+        receiver.appended(source, indices)
+    assert len(receiver) == 4 and receiver.ids() == ["r04", "r05", "r06", "r07"]
+
+
+def test_take_and_appended_refuse_nested_indices():
+    source = Dataset.from_records(clean_records(4))
+    with pytest.raises(DataError, match="flat sequence"):
+        source.take([[0, 1]])
+    with pytest.raises(DataError, match="flat sequence"):
+        Dataset.from_records(clean_records(8)[4:]).appended(source, [[0], [1]])
+
+
+def test_appended_refuses_another_image_size_when_nothing_is_picked():
+    receiver = Dataset.from_matrix(np.zeros((4, 25), np.uint8), 5, 5, [f"a{i}" for i in range(4)], [0, 1, 0, 1],
+                                   [None] * 4)
+    rows = Dataset.from_matrix(np.zeros((3, 9), np.uint8), 3, 3, ["x", "y", "z"], [0, 1, 0], [None] * 3)
+    for empty in ([], np.array([], dtype=np.intp)):
+        with pytest.raises(DataError, match=r"^dimension mismatch: rows are 3x3 images, expected 5x5$"):
+            receiver.appended(rows, empty)
+    with pytest.raises(DataError, match=r"^dimension mismatch: rows are 3x3 images, expected 5x5$"):
+        receiver.appended(rows.take([]))
+    assert len(receiver.appended(receiver.take([]))) == 4
+
+
 def assert_is_from_records_of_its_records(ds):
     whole = Dataset.from_records(ds.records)
     levels = ds.levels()

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from biasgrid.dataset import Dataset, ImageRecord
 from biasgrid.errors import DataError, NumericalError
 from biasgrid.pca import (
+    FINGERPRINT_BLOCK_BYTES,
     _fix_signs,
     dataset_fingerprint,
     fit,
@@ -203,22 +205,71 @@ def test_fit_records_the_fingerprint_of_the_raw_matrix(layout):
     assert fit(data).trained_on == dataset_fingerprint(data)
 
 
+def levels_dataset(levels: np.ndarray, height: int, width: int) -> Dataset:
+    n = levels.shape[0]
+    return Dataset.from_matrix(np.ascontiguousarray(levels, dtype=np.uint8), height, width,
+                               [f"r{i}" for i in range(n)], [i % 2 for i in range(n)], [None] * n)
+
+
+def random_levels_dataset(n: int, height: int, width: int, seed: int) -> Dataset:
+    levels = np.random.default_rng(seed).integers(0, 256, size=(n, height * width), dtype=np.uint8)
+    return levels_dataset(levels, height, width)
+
+
+def test_a_datasets_fingerprint_hashed_by_row_blocks_is_that_of_its_matrix():
+    # 32 x 64 images: each hashing block holds FINGERPRINT_BLOCK_BYTES / (8 * 2048) rows
+    ds = random_levels_dataset(150, 32, 64, seed=21)
+    rows_per_block = FINGERPRINT_BLOCK_BYTES // (8 * 32 * 64)
+    assert len(ds) > rows_per_block and len(ds) % rows_per_block != 0  # a ragged last block
+    mat = ds.matrix()
+    expected = hashlib.sha256(str(mat.shape).encode("ascii") + mat.tobytes()).hexdigest()[:16]
+    assert dataset_fingerprint(ds) == dataset_fingerprint(mat) == expected
+    assert dataset_fingerprint(ds.take(range(rows_per_block))) == dataset_fingerprint(mat[:rows_per_block])
+    assert dataset_fingerprint(ds.take([])) == dataset_fingerprint(mat[:0])
+
+
+def test_fitting_a_dataset_or_its_matrix_writes_the_same_basis_file(tmp_path):
+    ds = random_levels_dataset(150, 32, 64, seed=22)
+    mat = ds.matrix()
+    save_basis(fit(ds), tmp_path / "from_dataset.json")
+    save_basis(fit(mat), tmp_path / "from_matrix.json")
+    assert (tmp_path / "from_dataset.json").read_bytes() == (tmp_path / "from_matrix.json").read_bytes()
+    assert mat.tobytes() == ds.matrix().tobytes()  # a caller's matrix is not centered in place
+
+
+def test_fitting_a_dataset_holds_one_float_matrix_of_it():
+    # A float64 copy of the whole matrix for the hash, or a centered copy
+    # beside the raw one, would each add 1x.
+    ds = random_levels_dataset(256, 96, 96, seed=23)
+    fit(ds.take(range(8)))  # warm up lazy imports and the thread pool outside the trace
+    tracemalloc.start()
+    try:
+        fit(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * ds.matrix().nbytes
+
+
 @pytest.mark.parametrize(
-    "mat, error",
+    "data, error",
     [
         (np.random.default_rng(20).normal(size=(12, 30)), None),
         (np.ones((12, 30)), NumericalError),
         (np.random.default_rng(20).normal(size=(2, 30)), DataError),
+        (random_levels_dataset(12, 5, 6, seed=20), None),
+        (levels_dataset(np.full((12, 30), 128), 5, 6), NumericalError),
+        (random_levels_dataset(2, 5, 6, seed=20), DataError),
     ],
-    ids=["fits", "identical-rows", "two-rows"],
+    ids=["fits", "identical-rows", "two-rows", "dataset-fits", "dataset-identical-rows", "dataset-two-rows"],
 )
-def test_fit_leaves_no_thread_running(mat, error):
+def test_fit_leaves_no_thread_running(data, error):
     before = threading.active_count()
     if error is None:
-        fit(mat)
+        fit(data)
     else:
         with pytest.raises(error):
-            fit(mat)
+            fit(data)
     assert threading.active_count() == before
 
 
