@@ -22,7 +22,7 @@ from .dataset import Dataset, ImageRecord, load_manifest, save_dataset
 from .errors import BiasgridError, ConfigError, DataError, NumericalError
 from .grid import GridLayout, default_dims, make_grid
 from .loop import LoopConfig, LoopState, default_lr_schedule, run_loop, run_random_baseline
-from .pca import PcaBasis, fit, load_basis, mean_center, project, save_basis
+from .pca import PcaBasis, fit, load_basis, project, save_basis
 from .saliency import (
     FailureScores,
     SaliencyImage,
@@ -72,7 +72,6 @@ __all__ = [
     "make_rng",
     "make_weights",
     "match_pool",
-    "mean_center",
     "predict_dataset",
     "project",
     "render",

@@ -108,19 +108,29 @@ def sigmoid(z):
     return out
 
 
+def _check_pixels(model: RefModel, pixels: int) -> None:
+    if pixels != model.weights.shape[0]:
+        raise DataError(f"dimension mismatch: data has {pixels} pixels, model expects {model.weights.shape[0]}")
+
+
 def predict_matrix(model: RefModel, mat: np.ndarray) -> np.ndarray:
+    """Scores of the rows of a 2-D matrix of flattened images."""
     mat = np.asarray(mat, dtype=np.float64)
-    if mat.shape[1] != model.weights.shape[0]:
-        raise DataError(
-            f"dimension mismatch: data has {mat.shape[1]} pixels, model expects {model.weights.shape[0]}"
-        )
+    if mat.ndim != 2:
+        raise DataError(f"expected a 2-D matrix of flattened images, got {mat.ndim} dimension(s)")
+    _check_pixels(model, mat.shape[1])
     return sigmoid(mat @ model.weights + model.bias)
 
 
-def predict_dataset(model: RefModel, dataset: Dataset, matrix: np.ndarray | None = None) -> np.ndarray:
-    """Scores aligned with dataset record order. `matrix`, when given, is
-    the dataset's float matrix, passed by a caller that already holds it."""
-    return predict_matrix(model, dataset.matrix() if matrix is None else matrix)
+def predict_dataset(model: RefModel, dataset: Dataset) -> np.ndarray:
+    """Scores aligned with dataset record order, computed one row block of
+    levels / 255.0 at a time (Dataset.float_rows), so no N x P float array
+    is built."""
+    _check_pixels(model, dataset.height * dataset.width)
+    scores = np.empty(len(dataset))
+    for start, rows in dataset.float_rows():
+        scores[start : start + len(rows)] = predict_matrix(model, rows)
+    return scores
 
 
 def loss_value(weights: np.ndarray, bias: float, mat: np.ndarray, labels: np.ndarray, l2: float) -> float:

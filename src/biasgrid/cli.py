@@ -149,7 +149,7 @@ def cmd_visualize(args) -> int:
     ds = load_manifest(args.manifest)
     basis = load_basis(args.basis)
     model = load_model(args.model)
-    # each builds its own float matrix of ds, so no two are alive at once
+    # each reads ds in row blocks of floats and holds no float matrix of it
     coords = project(basis, ds)
     grid = make_grid(coords, cfg["grid.rows"], cfg["grid.cols"], ids=ds.ids())
     failures = compute_failures(model, ds)

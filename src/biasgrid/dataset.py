@@ -11,11 +11,13 @@ nothing checks a built dataset's rows again.
 Float pixels enter at one place, `from_records`, which checks them (finite,
 in [0, 1]) and quantizes them by netpbm's one rule, rint(v * 255) with ties
 to even; the generator and the manifest reader write levels straight into
-their rows. Every float a consumer sees is exactly levels / 255.0: the
-fresh N x P float64 array `matrix()` returns, which the caller owns and may
-overwrite, and each record's `pixels`, a read-only H x W float64 image
-computed from its row on access. No float copy is kept, so a caller that
-needs the whole matrix more than once holds the one `matrix()` gave it.
+their rows. Every float a consumer sees is exactly levels / 255.0, and no
+float copy is kept. `float_rows()` computes it one block of about
+ROW_BLOCK_BYTES of rows at a time, which is how the package's projection,
+scoring and fingerprint read a dataset, so none of them holds an N x P
+float array. Each record's `pixels` is a read-only H x W float64 image
+computed from its row on access. `matrix()` computes the whole N x P float
+matrix at once; no stage of the package calls it.
 
 Rows move by position, in blocks; no API looks a record up by id.
 `take(indices)` copies those rows into a new dataset. `appended(rows)`
@@ -35,11 +37,23 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DataError
 from .netpbm import quantize, read_pgm_levels, write_pgm_levels
+
+# Bytes of float64 rows a blocked reader builds at a time (at least one row).
+ROW_BLOCK_BYTES = 1 << 20
+
+
+def row_spans(n_rows: int, n_cols: int) -> Iterator[tuple[int, int]]:
+    """[start, stop) spans of consecutive rows, in order, each holding
+    ROW_BLOCK_BYTES of float64 rows of n_cols columns, or one row."""
+    step = max(1, ROW_BLOCK_BYTES // (8 * max(1, n_cols)))
+    for start in range(0, n_rows, step):
+        yield start, min(start + step, n_rows)
 
 
 @dataclass
@@ -225,8 +239,16 @@ class Dataset:
         return self._levels
 
     def matrix(self) -> np.ndarray:
-        """A fresh N x P float64 matrix, levels / 255.0, that the caller owns."""
+        """A fresh N x P float64 matrix, levels / 255.0, that the caller owns.
+        Nothing in the package calls it; it stays while the benchmark's
+        tracer wraps it."""
         return self._levels / 255.0
+
+    def float_rows(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(start, levels[start:stop] / 255.0) over the row_spans of the
+        level matrix, in order; each block is a fresh array the caller owns."""
+        for start, stop in row_spans(*self._levels.shape):
+            yield start, self._levels[start:stop] / 255.0
 
     def labels(self) -> np.ndarray:
         """The stored read-only float64 label array, aligned with the rows."""

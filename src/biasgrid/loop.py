@@ -202,10 +202,10 @@ def _run(
                 shutil.rmtree(stale)
         (out_path / "summary.jsonl").unlink(missing_ok=True)
 
-    # the one float copy of the validation set, for the fit and every scoring
-    val_x = val.matrix()
-    basis = fit(val_x)
-    val_coords = project(basis, val_x)
+    # the fit reads the validation set in column blocks, the projection and
+    # every scoring in row blocks: no stage holds a float copy of a set
+    basis = fit(val)
+    val_coords = project(basis, val)
     # the pool is projected on a selector's first request, and only then
     project_pool = functools.cache(lambda: project(basis, pool))
     grid = make_grid(val_coords, cfg.grid_rows, cfg.grid_cols, ids=val.ids())
@@ -214,7 +214,7 @@ def _run(
 
     def score(model: RefModel) -> tuple[FailureScores, float | None]:
         """The one scoring of a freshly trained model: validation failures and test accuracy."""
-        failures = compute_failures(model, val, val_x)
+        failures = compute_failures(model, val)
         test_acc = None
         if test is not None:
             test_acc = accuracy_from_scores(predict_dataset(model, test), test.labels())

@@ -19,17 +19,23 @@ SVD of the P x 2 matrix C^T U2 (a Rayleigh-Ritz step) makes the columns
 orthonormal to machine precision and measures each singular value as a
 norm rather than as the root of an eigenvalue. Tall input (N > P), and
 input whose second singular value falls below GRAM_MIN_RATIO times the
-first, takes a thin SVD of C instead.
+first, takes a thin SVD of the whole of C instead.
+
+The Gram fit never holds C whole. It reads the input in blocks of
+FIT_BLOCK_COLS columns, each divided (a Dataset's levels / 255.0) or copied
+(a matrix) into one reused N x FIT_BLOCK_COLS float64 buffer. A first pass
+takes each block's column means, which are independent of the other
+columns, centers the block in place and adds its product C_b C_b^T to G; a
+second pass rebuilds each block and forms its rows of C^T U2. A matrix
+block holding a non-finite value is refused. project reads rows instead,
+one block of about dataset.ROW_BLOCK_BYTES at a time.
 
 The trained_on fingerprint, a SHA-256 pass over the C-order bytes of the
 float64 input matrix that no step of the fit reads, runs on one helper
-thread while the calling thread centers the matrix and runs the Gram
-product, the iteration and the SVDs. The two overlap because hashlib
+thread while the calling thread fits. The two overlap because hashlib
 releases the GIL while it hashes a large buffer, and numpy releases it in
 BLAS products and in ufunc loops over large arrays. A Dataset's helper
-hashes levels / 255.0 one block of rows at a time, so no float copy is
-kept for it, and the fit builds its own float matrix and centers it in
-place: fitting a Dataset holds one N x P float64 array, not two.
+hashes its row blocks of levels / 255.0, so it keeps no float copy either.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, row_spans
 from .errors import DataError, NumericalError
 from .seeding import make_rng
 
@@ -64,9 +70,11 @@ SUBSPACE_MAX_STEPS = 32
 SUBSPACE_TOL = 64 * np.finfo(np.float64).eps
 SUBSPACE_SEED = 0
 
-# Bytes of float64 rows that dataset_fingerprint builds and hashes at a time
-# from a Dataset's levels (at least one row).
-FINGERPRINT_BLOCK_BYTES = 1 << 20
+# Columns per block of the Gram fit's one reused float64 buffer. The Gram
+# product loses BLAS efficiency as its inner dimension shrinks: a fit of a
+# 1024 x 9216 Dataset took 0.36 s in one block, 0.37 s in blocks of 2304
+# columns and 0.41 s in blocks of 1024 (medians of 8, one BLAS thread).
+FIT_BLOCK_COLS = 2304
 
 
 @dataclass
@@ -84,51 +92,48 @@ class PcaBasis:
     trained_on: str  # fingerprint of the fitted matrix
 
 
-def _as_matrix(data) -> np.ndarray:
+def _source(data) -> Dataset | np.ndarray:
+    """A Dataset as it is; anything else as a 2-D float64 array."""
     if isinstance(data, Dataset):
-        return data.matrix()  # float64, so a fingerprint does not depend on the storage
+        return data
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 2:
         raise DataError("expected a Dataset or a 2-D matrix")
     return arr
 
 
-def _minus(mat: np.ndarray, mean: np.ndarray, data) -> np.ndarray:
-    """mat - mean, where mat = _as_matrix(data). A Dataset's float matrix was
-    built for this call alone, so it is centered in place rather than copied."""
-    if isinstance(data, Dataset):
-        mat -= mean
-        return mat
-    return mat - mean
+def _shape(source: Dataset | np.ndarray) -> tuple[int, int]:
+    return source.levels().shape if isinstance(source, Dataset) else source.shape
+
+
+def _finite(block: np.ndarray) -> np.ndarray:
+    if not np.isfinite(block).all():
+        raise DataError("input matrix holds a non-finite value")
+    return block
+
+
+def _columns(source: Dataset | np.ndarray, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+    """out = columns start:stop of the source's float matrix: a Dataset's
+    levels / 255.0, or a matrix's entries, which must be finite."""
+    if isinstance(source, Dataset):
+        return np.divide(source.levels()[:, start:stop], 255.0, out=out)
+    out[...] = source[:, start:stop]
+    return _finite(out)
 
 
 def dataset_fingerprint(data) -> str:
     """Stable hex fingerprint of the flattened float64 image matrix: the
     SHA-256 of its shape string and C-order bytes. A Dataset's matrix is
-    hashed one block of rows of levels / 255.0 at a time, never whole."""
+    hashed one row block of levels / 255.0 at a time, never whole."""
+    source = _source(data)
     digest = hashlib.sha256()
-    if isinstance(data, Dataset):
-        levels = data.levels()
-        digest.update(str(levels.shape).encode("ascii"))
-        step = max(1, FINGERPRINT_BLOCK_BYTES // (8 * levels.shape[1]))
-        for start in range(0, levels.shape[0], step):
-            digest.update(levels[start : start + step] / 255.0)
+    digest.update(str(_shape(source)).encode("ascii"))
+    if isinstance(source, Dataset):
+        for _, rows in source.float_rows():
+            digest.update(rows)
     else:
-        mat = np.ascontiguousarray(_as_matrix(data))
-        digest.update(str(mat.shape).encode("ascii"))
-        digest.update(mat)
+        digest.update(np.ascontiguousarray(source))
     return digest.hexdigest()[:16]
-
-
-def mean_center(data) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract the per-column (per-pixel) mean; returns (centered, mean).
-    A caller's matrix is left as it is; a Dataset's is built and centered
-    in place."""
-    mat = _as_matrix(data)
-    if mat.shape[0] < 2:
-        raise DataError(f"mean_center needs at least 2 rows, got {mat.shape[0]}")
-    mean = mat.mean(axis=0)
-    return _minus(mat, mean, data), mean
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:
@@ -159,38 +164,66 @@ def _gram_top2(gram: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def _gram_fit(source: Dataset | np.ndarray, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, C^T U2) of a wide source, read in column blocks (see the module
+    docstring)."""
+    width = min(p, FIT_BLOCK_COLS)
+    buf = np.empty(n * width)
+    spans = [(a, min(a + width, p)) for a in range(0, p, width)]
+    mean = np.empty(p)
+
+    def block_of(start: int, stop: int) -> np.ndarray:
+        return _columns(source, start, stop, buf[: n * (stop - start)].reshape(n, stop - start))
+
+    for start, stop in spans:
+        block = block_of(start, stop)
+        mean[start:stop] = block.mean(axis=0)
+        block -= mean[start:stop]
+        if start == 0:
+            gram = block @ block.T
+        else:
+            gram += block @ block.T
+    u2 = _gram_top2(gram)
+    if u2 is None:
+        u2 = np.linalg.eigh(gram)[1][:, :-3:-1]
+    ct_u2 = np.empty((p, 2))
+    for start, stop in reversed(spans):
+        if stop != p:  # the buffer still holds the last block, centered
+            block = block_of(start, stop)
+            block -= mean[start:stop]
+        ct_u2[start:stop] = block.T @ u2
+    return mean, ct_u2
+
+
 def fit(data) -> PcaBasis:
     """Fit the rank-2 basis on a dataset or raw N x P matrix.
 
     The fingerprint of the input is hashed on a helper thread while this
     thread fits (see the module docstring); the thread is joined before fit
     returns or raises, and an input refused for its shape starts none. A
-    caller's matrix is never written to. A Dataset's float matrix is built
-    here and centered in place, while the helper hashes the Dataset's
-    levels block by block.
+    caller's matrix is never written to, and a wide input is read in column
+    blocks, never whole.
 
-    Raises NumericalError when the centered spectrum is degenerate (the
-    second singular value vanishes, e.g. all images identical or collinear).
+    Raises DataError when a matrix holds a non-finite value, and
+    NumericalError when the centered spectrum is degenerate (the second
+    singular value vanishes, e.g. all images identical or collinear).
     """
-    if isinstance(data, Dataset):
-        source, (n, p) = data, data.levels().shape
-    else:
-        source = _as_matrix(data)
-        n, p = source.shape
+    source = _source(data)
+    n, p = _shape(source)
     if n < 3:
         raise DataError(f"fit needs at least 3 rows, got {n}")
     if p < 2:
         raise DataError(f"fit needs at least 2 columns, got {p}")
     with ThreadPoolExecutor(max_workers=1) as hasher:
         fingerprint = hasher.submit(dataset_fingerprint, source)
-        centered, mean = mean_center(source)
         if n <= p:
-            gram = centered @ centered.T
-            u2 = _gram_top2(gram)
-            if u2 is None:
-                u2 = np.linalg.eigh(gram)[1][:, :-3:-1]
-            components, s, _ = np.linalg.svd(centered.T @ u2, full_matrices=False)
+            mean, ct_u2 = _gram_fit(source, n, p)
+            components, s, _ = np.linalg.svd(ct_u2, full_matrices=False)
         if n > p or s[1] < GRAM_MIN_RATIO * s[0]:
+            centered = _columns(source, 0, p, np.empty((n, p)))
+            if n > p:
+                mean = centered.mean(axis=0)
+            centered -= mean
             _, s, vt = np.linalg.svd(centered, full_matrices=False)
             components = vt[:2].T
         if s[1] <= DEGENERATE_TOL * max(1.0, s[0]):
@@ -211,14 +244,23 @@ def project(basis: PcaBasis, data) -> np.ndarray:
     """Project images into the basis: (X - mean) @ components, one 2-D point per row.
 
     Works for any dataset with matching pixel count, including ones the
-    basis was not fitted on (e.g. an augmentation pool). A Dataset's float
-    matrix is built for this call alone and centered in place.
+    basis was not fitted on (e.g. an augmentation pool). Rows are read one
+    block at a time (a Dataset's float_rows), so no N x P float array is
+    built; a matrix block holding a non-finite value raises a DataError.
     """
-    mat = _as_matrix(data)
+    source = _source(data)
+    n, cols = _shape(source)
     p = basis.mean.shape[0]
-    if mat.shape[1] != p:
-        raise DataError(f"dimension mismatch: data has {mat.shape[1]} pixels, basis expects {p}")
-    return _minus(mat, basis.mean, data) @ basis.components
+    if cols != p:
+        raise DataError(f"dimension mismatch: data has {cols} pixels, basis expects {p}")
+    if isinstance(source, Dataset):
+        blocks = source.float_rows()
+    else:
+        blocks = ((start, _finite(source[start:stop])) for start, stop in row_spans(n, cols))
+    coords = np.empty((n, 2))
+    for start, rows in blocks:
+        coords[start : start + len(rows)] = (rows - basis.mean) @ basis.components
+    return coords
 
 
 def save_basis(basis: PcaBasis, path) -> None:

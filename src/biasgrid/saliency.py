@@ -48,12 +48,11 @@ class SaliencyImage:
     legend: dict = field(default_factory=dict)
 
 
-def compute_failures(model: RefModel, dataset: Dataset, matrix: np.ndarray | None = None) -> FailureScores:
+def compute_failures(model: RefModel, dataset: Dataset) -> FailureScores:
     """Score every record: C = |sigmoid score - label|, in dataset order.
-
-    `matrix`, when given, is the dataset's float matrix, which a caller that
-    already holds it passes so that it is not built again."""
-    preds = predict_dataset(model, dataset, matrix)
+    The scores are computed one row block at a time (predict_dataset), so
+    no N x P float array of the dataset is built."""
+    preds = predict_dataset(model, dataset)
     return FailureScores(ids=dataset.ids(), predictions=preds, scores=np.abs(preds - dataset.labels()))
 
 

@@ -391,6 +391,13 @@ def test_predict_dimension_mismatch():
         predict_matrix(model, np.zeros((2, 5)))
 
 
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 4)], ids=["1-d", "3-d"])
+def test_predict_matrix_refuses_a_non_2d_input(shape):
+    model = RefModel(weights=np.zeros(4), bias=0.0)
+    with pytest.raises(DataError, match="expected a 2-D matrix"):
+        predict_matrix(model, np.zeros(shape))
+
+
 def test_fine_tune_dimension_mismatch():
     model = RefModel(weights=np.zeros(4), bias=0.0)
     with pytest.raises(DataError, match="dimension mismatch"):

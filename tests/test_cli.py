@@ -6,9 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import biasgrid.dataset
+import biasgrid.pca
 from biasgrid.classifier import RefModel, save_model
 from biasgrid.cli import main
-from biasgrid.dataset import load_manifest, save_dataset
+from biasgrid.dataset import Dataset, load_manifest, save_dataset
+from biasgrid.loop import LoopConfig, run_loop, run_random_baseline
 from biasgrid.pca import fit, save_basis
 from biasgrid.synth import CorpusSpec, generate_split
 
@@ -328,7 +331,7 @@ def test_visualize_takes_the_grid_shape_from_the_config_and_flags(tmp_path, smal
 
 
 def test_visualize_holds_one_float_matrix_of_the_manifest(tmp_path, capsys):
-    # Projection and scoring each build and drop their own float matrix; one
+    # Projection and scoring read row blocks and hold no float matrix; one
     # held across both, or a centered copy beside it, would add 1x. The
     # manifest's uint8 levels add 1/8.
     n, hw = 256, 64
@@ -348,6 +351,28 @@ def test_visualize_holds_one_float_matrix_of_the_manifest(tmp_path, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert peak < 1.3 * n * hw * hw * 8
+
+
+def test_no_stage_builds_a_datasets_whole_float_matrix(tmp_path, small_cfg, capsys, monkeypatch):
+    # fit-pca, visualize and both loop arms on 24 x 24 images, in several
+    # column blocks (100 columns) and row blocks (3 rows) each
+    def refuse(self):
+        raise AssertionError("Dataset.matrix() was called")
+
+    monkeypatch.setattr(Dataset, "matrix", refuse)
+    monkeypatch.setattr(biasgrid.pca, "FIT_BLOCK_COLS", 100)
+    monkeypatch.setattr(biasgrid.dataset, "ROW_BLOCK_BYTES", 3 * 8 * 24 * 24)
+    out = run_synth(tmp_path, small_cfg)
+    args = ["--config", str(small_cfg), "--out-dir", str(out)]
+    assert main(args + ["fit-pca", "--manifest", str(out / "val.jsonl"), "--out", "basis.json"]) == 0
+    assert main(args + ["train", "--manifest", str(out / "train.jsonl"), "--out-model", "model.json"]) == 0
+    assert main(args + ["visualize", "--manifest", str(out / "val.jsonl"), "--basis", str(out / "basis.json"),
+                        "--model", str(out / "model.json"), "--out", "grid.ppm", "--sidecar", "grid.json"]) == 0
+    capsys.readouterr()
+    data = [load_manifest(out / f"{name}.jsonl") for name in ("train", "val", "pool")]
+    cfg = LoopConfig(max_iterations=1, k=1, m=2)
+    for runner in (run_loop, run_random_baseline):
+        assert len(runner(*data, cfg=cfg, out_dir=tmp_path / runner.__name__)) >= 1
 
 
 def test_loop_refuses_locked_run_dir(tmp_path, small_cfg, capsys):

@@ -8,18 +8,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from biasgrid.dataset import Dataset, ImageRecord
+import biasgrid.pca
+from biasgrid.classifier import RefModel, predict_dataset, sigmoid
+from biasgrid.dataset import ROW_BLOCK_BYTES, Dataset, ImageRecord
 from biasgrid.errors import DataError, NumericalError
 from biasgrid.pca import (
-    FINGERPRINT_BLOCK_BYTES,
+    FIT_BLOCK_COLS,
     _fix_signs,
     dataset_fingerprint,
     fit,
     load_basis,
-    mean_center,
     project,
     save_basis,
 )
+from biasgrid.saliency import compute_failures
 from oracles import jacobi_svd, pca_oracle, sign_normalize
 
 
@@ -217,9 +219,9 @@ def random_levels_dataset(n: int, height: int, width: int, seed: int) -> Dataset
 
 
 def test_a_datasets_fingerprint_hashed_by_row_blocks_is_that_of_its_matrix():
-    # 32 x 64 images: each hashing block holds FINGERPRINT_BLOCK_BYTES / (8 * 2048) rows
+    # 32 x 64 images: each hashing block holds ROW_BLOCK_BYTES / (8 * 2048) rows
     ds = random_levels_dataset(150, 32, 64, seed=21)
-    rows_per_block = FINGERPRINT_BLOCK_BYTES // (8 * 32 * 64)
+    rows_per_block = ROW_BLOCK_BYTES // (8 * 32 * 64)
     assert len(ds) > rows_per_block and len(ds) % rows_per_block != 0  # a ragged last block
     mat = ds.matrix()
     expected = hashlib.sha256(str(mat.shape).encode("ascii") + mat.tobytes()).hexdigest()[:16]
@@ -237,18 +239,115 @@ def test_fitting_a_dataset_or_its_matrix_writes_the_same_basis_file(tmp_path):
     assert mat.tobytes() == ds.matrix().tobytes()  # a caller's matrix is not centered in place
 
 
-def test_fitting_a_dataset_holds_one_float_matrix_of_it():
-    # A float64 copy of the whole matrix for the hash, or a centered copy
-    # beside the raw one, would each add 1x.
-    ds = random_levels_dataset(256, 96, 96, seed=23)
-    fit(ds.take(range(8)))  # warm up lazy imports and the thread pool outside the trace
+def traced_peak(run) -> int:
+    """tracemalloc's peak, in bytes, over one call of run()."""
     tracemalloc.start()
     try:
-        fit(ds)
+        run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.3 * ds.matrix().nbytes
+    return peak
+
+
+def test_fitting_a_dataset_holds_under_half_a_float_matrix_of_it():
+    # The column buffer holds FIT_BLOCK_COLS of the 9216 columns (0.25x);
+    # the Gram matrix, its block product and the hash's row blocks add
+    # under 0.15x. The whole float matrix, or a float copy for the hash,
+    # would each add 1x.
+    ds = random_levels_dataset(256, 96, 96, seed=23)
+    fit(ds.take(range(8)))  # warm up lazy imports and the thread pool outside the trace
+    assert traced_peak(lambda: fit(ds)) < 0.5 * 8 * ds.levels().size
+
+
+def test_projecting_and_scoring_a_dataset_hold_under_a_quarter_of_its_float_matrix():
+    # Both read row blocks of ROW_BLOCK_BYTES (0.05x here) and keep two
+    # numbers or one a row; the whole float matrix would add 1x.
+    ds = random_levels_dataset(256, 96, 96, seed=23)
+    basis = fit(ds.take(range(8)))
+    model = RefModel(weights=np.random.default_rng(23).normal(0.0, 0.01, 96 * 96), bias=0.0)
+
+    def project_and_score(data):
+        project(basis, data)
+        compute_failures(model, data)
+
+    project_and_score(ds.take(range(8)))  # warm up outside the trace
+    assert traced_peak(lambda: project_and_score(ds)) < 0.25 * 8 * ds.levels().size
+
+
+def test_a_dataset_fit_over_column_blocks_matches_the_oracle():
+    # 50 x 100 images: three column blocks, the last one partial; criterion
+    # 1's tolerances, and the mean byte for byte
+    height, width = 50, 100
+    assert 2 * FIT_BLOCK_COLS < height * width < 3 * FIT_BLOCK_COLS
+    ds = random_levels_dataset(20, height, width, seed=24)
+    mat = ds.matrix()
+    basis = fit(ds)
+    _, svals, components = pca_oracle(mat)
+    assert basis.mean.tobytes() == mat.mean(axis=0).tobytes()
+    assert np.max(np.abs(basis.components - components)) <= 1e-6
+    assert np.max(np.abs(np.array(basis.singular_values) - svals) / svals) <= 1e-6
+
+
+def test_projection_and_scoring_by_row_blocks_match_whole_matrix_arithmetic():
+    # 64 x 64 images: 100 rows make three full row blocks and a partial one
+    ds = random_levels_dataset(100, 64, 64, seed=25)
+    rows_per_block = ROW_BLOCK_BYTES // (8 * 64 * 64)
+    assert len(ds) > 3 * rows_per_block and len(ds) % rows_per_block != 0
+    mat = ds.matrix()
+    basis = fit(ds)
+    model = RefModel(weights=np.random.default_rng(25).normal(0.0, 0.01, 64 * 64), bias=0.1)
+    coords = project(basis, ds)
+    assert np.allclose(coords, (mat - basis.mean) @ basis.components, rtol=0.0, atol=1e-12)
+    assert coords.tobytes() == project(basis, mat).tobytes()
+    assert np.allclose(predict_dataset(model, ds), sigmoid(mat @ model.weights + model.bias), rtol=0.0, atol=1e-12)
+
+
+def near_degenerate_levels(n: int, p: int, seed: int) -> np.ndarray:
+    """Exactly rank 1 after centering (an outer product of small integers),
+    but for one level raised by one: s2 / s1 falls far below GRAM_MIN_RATIO."""
+    rng = np.random.default_rng(seed)
+    levels = np.outer(rng.integers(0, 16, n), rng.integers(0, 16, p))
+    levels[0, 0] += 1
+    return levels
+
+
+@pytest.mark.parametrize(
+    "levels, height, width",
+    [
+        (np.random.default_rng(26).integers(0, 256, size=(40, 20)), 4, 5),
+        (near_degenerate_levels(40, 500, seed=27), 20, 25),
+    ],
+    ids=["tall", "near-degenerate"],
+)
+def test_a_dataset_reaching_the_thin_svd_fits_as_its_matrix(monkeypatch, tmp_path, levels, height, width):
+    ds = levels_dataset(levels, height, width)
+    shapes = []
+    full_svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return full_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    save_basis(fit(ds), tmp_path / "from_dataset.json")
+    assert levels.shape in shapes  # the thin SVD of the whole centered matrix
+    save_basis(fit(ds.matrix()), tmp_path / "from_matrix.json")
+    assert (tmp_path / "from_dataset.json").read_bytes() == (tmp_path / "from_matrix.json").read_bytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("shape", [(12, 30), (40, 5)], ids=["wide", "tall"])
+def test_fit_and_project_refuse_a_non_finite_matrix(monkeypatch, shape, value):
+    # wide: the bad entry sits in the last of four column blocks
+    monkeypatch.setattr(biasgrid.pca, "FIT_BLOCK_COLS", 8)
+    mat = np.random.default_rng(28).normal(size=shape)
+    basis = fit(mat)
+    mat[-1, -1] = value
+    with pytest.raises(DataError, match="non-finite value"):
+        fit(mat)
+    with pytest.raises(DataError, match="non-finite value"):
+        project(basis, mat)
 
 
 @pytest.mark.parametrize(
@@ -260,8 +359,10 @@ def test_fitting_a_dataset_holds_one_float_matrix_of_it():
         (random_levels_dataset(12, 5, 6, seed=20), None),
         (levels_dataset(np.full((12, 30), 128), 5, 6), NumericalError),
         (random_levels_dataset(2, 5, 6, seed=20), DataError),
+        (np.full((12, 30), np.nan), DataError),
     ],
-    ids=["fits", "identical-rows", "two-rows", "dataset-fits", "dataset-identical-rows", "dataset-two-rows"],
+    ids=["fits", "identical-rows", "two-rows", "dataset-fits", "dataset-identical-rows", "dataset-two-rows",
+         "non-finite"],
 )
 def test_fit_leaves_no_thread_running(data, error):
     before = threading.active_count()
@@ -300,11 +401,6 @@ def test_project_dimension_mismatch_names_both_sizes():
     basis = fit(np.random.default_rng(9).normal(size=(6, 7)))
     with pytest.raises(DataError, match="5 pixels.*expects 7"):
         project(basis, np.zeros((2, 5)))
-
-
-def test_mean_center_needs_two_rows():
-    with pytest.raises(DataError, match="at least 2 rows"):
-        mean_center(np.zeros((1, 4)))
 
 
 def test_save_load_round_trip_is_exact(tmp_path):
