@@ -27,7 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from repeat import seeds  # noqa: E402
 
-TRACED = ("pca.fit.s", "pca.project.s", "saliency.compute_failures.s", "dataset.matrix.calls")
+TRACED = ("pca.fit.s", "pca.project.s", "saliency.compute_failures.s", "sampler.match_pool.s", "saliency.render.s")
 
 
 def run(side: str, checkout: Path, spec: dict, workload: str, seed: int, trace: int) -> dict:

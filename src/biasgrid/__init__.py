@@ -10,7 +10,6 @@ space, and iteratively fine-tuning the classifier.
 from .classifier import (
     RefModel,
     TrainHyper,
-    accuracy,
     fine_tune,
     load_model,
     predict_dataset,
@@ -23,15 +22,8 @@ from .errors import BiasgridError, ConfigError, DataError, NumericalError
 from .grid import GridLayout, default_dims, make_grid
 from .loop import LoopConfig, LoopState, default_lr_schedule, run_loop, run_random_baseline
 from .pca import PcaBasis, fit, load_basis, project, save_basis
-from .saliency import (
-    FailureScores,
-    SaliencyImage,
-    colormap,
-    compute_failures,
-    render,
-    save_saliency,
-)
-from .sampler import MatchSet, SampleWeights, make_weights, match_pool, sample
+from .saliency import FailureScores, colormap, compute_failures, render
+from .sampler import MatchSet, make_weights, match_pool, sample
 from .seeding import derive_seed, make_rng
 from .synth import CorpusSpec, FaceParams, generate_corpus, render_face
 
@@ -53,10 +45,7 @@ __all__ = [
     "NumericalError",
     "PcaBasis",
     "RefModel",
-    "SaliencyImage",
-    "SampleWeights",
     "TrainHyper",
-    "accuracy",
     "colormap",
     "compute_failures",
     "default_dims",
@@ -82,7 +71,6 @@ __all__ = [
     "save_basis",
     "save_dataset",
     "save_model",
-    "save_saliency",
     "sigmoid",
     "train",
 ]

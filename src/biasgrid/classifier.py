@@ -108,28 +108,16 @@ def sigmoid(z):
     return out
 
 
-def _check_pixels(model: RefModel, pixels: int) -> None:
-    if pixels != model.weights.shape[0]:
-        raise DataError(f"dimension mismatch: data has {pixels} pixels, model expects {model.weights.shape[0]}")
-
-
-def predict_matrix(model: RefModel, mat: np.ndarray) -> np.ndarray:
-    """Scores of the rows of a 2-D matrix of flattened images."""
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2:
-        raise DataError(f"expected a 2-D matrix of flattened images, got {mat.ndim} dimension(s)")
-    _check_pixels(model, mat.shape[1])
-    return sigmoid(mat @ model.weights + model.bias)
-
-
 def predict_dataset(model: RefModel, dataset: Dataset) -> np.ndarray:
     """Scores aligned with dataset record order, computed one row block of
     levels / 255.0 at a time (Dataset.float_rows), so no N x P float array
     is built."""
-    _check_pixels(model, dataset.height * dataset.width)
+    pixels = dataset.height * dataset.width
+    if pixels != model.weights.shape[0]:
+        raise DataError(f"dimension mismatch: data has {pixels} pixels, model expects {model.weights.shape[0]}")
     scores = np.empty(len(dataset))
     for start, rows in dataset.float_rows():
-        scores[start : start + len(rows)] = predict_matrix(model, rows)
+        scores[start : start + len(rows)] = sigmoid(rows @ model.weights + model.bias)
     return scores
 
 
@@ -154,10 +142,6 @@ def loss_gradient(
 def accuracy_from_scores(scores: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of scores on the right side of 0.5 (score >= 0.5 predicts label 1)."""
     return float(np.mean((scores >= 0.5) == (labels == 1)))
-
-
-def accuracy(model: RefModel, dataset: Dataset) -> float:
-    return accuracy_from_scores(predict_dataset(model, dataset), dataset.labels())
 
 
 def _blocks(fit_idx: np.ndarray, size: int, hyper: TrainHyper, rng):

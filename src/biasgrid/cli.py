@@ -23,8 +23,9 @@ from .dataset import load_manifest, save_dataset
 from .errors import BiasgridError, ConfigError, DataError, NumericalError
 from .grid import make_grid
 from .loop import run_loop, run_random_baseline
+from .netpbm import write_ppm
 from .pca import fit, load_basis, project, save_basis
-from .saliency import compute_failures, render, save_saliency, save_sidecar
+from .saliency import compute_failures, render, save_sidecar
 from .sampler import WEIGHT_MODES
 from .seeding import derive_seed
 from .synth import generate_corpus
@@ -153,10 +154,10 @@ def cmd_visualize(args) -> int:
     coords = project(basis, ds)
     grid = make_grid(coords, cfg["grid.rows"], cfg["grid.cols"], ids=ds.ids())
     failures = compute_failures(model, ds)
-    image = render(grid, ds, failures, cell_px=cfg["render.cell_px"], alpha=cfg["render.alpha"])
+    canvas = render(grid, ds, failures, cell_px=cfg["render.cell_px"], alpha=cfg["render.alpha"])
     out = _resolve_out(cfg, args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_saliency(image, out)
+    write_ppm(out, canvas)
     print(f"wrote {out} ({grid.rows}x{grid.cols} cells)")
     if args.sidecar is not None:
         sidecar = _resolve_out(cfg, args.sidecar)

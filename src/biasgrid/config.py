@@ -99,6 +99,8 @@ def _convert(key: str, raw: str, kind: str, lineno: int, base_dir: Path):
             vals = tuple(float(part.strip()) for part in raw.split(",") if part.strip())
             if not vals:
                 raise ValueError("empty list")
+            if not all(math.isfinite(v) for v in vals):
+                raise ValueError("not finite")
             return vals
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: key '{key}': cannot parse '{raw}' as {kind} ({exc})") from exc

@@ -24,7 +24,6 @@ class GridLayout:
     rows: int
     cols: int
     cells: list[list[str | None]]  # rows x cols, image id or None
-    cell_coords: np.ndarray  # rows x cols x 2 lattice points in projection space
 
     def assigned_ids(self) -> list[str]:
         return [cell for row in self.cells for cell in row if cell is not None]
@@ -68,9 +67,6 @@ def make_grid(
     min_y, max_y = float(pts[:, 1].min()), float(pts[:, 1].max())
     xs = np.linspace(min_x, max_x, cols) if cols > 1 else np.array([(min_x + max_x) / 2.0])
     ys = np.linspace(max_y, min_y, rows) if rows > 1 else np.array([(min_y + max_y) / 2.0])
-    cell_coords = np.empty((rows, cols, 2), dtype=np.float64)
-    cell_coords[:, :, 0] = xs[None, :]
-    cell_coords[:, :, 1] = ys[:, None]
 
     cells: list[list[str | None]] = [[None] * cols for _ in range(rows)]
     taken = np.zeros(n, dtype=bool)
@@ -81,11 +77,11 @@ def make_grid(
         for c in range(cols):
             if n_assigned == n:
                 break
-            diff = pts - cell_coords[r, c]
+            diff = pts - (xs[c], ys[r])  # lattice point (r, c)
             dist2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
             dist2[taken] = np.inf
             pick = int(np.argmin(dist2))  # first minimum = lowest index on ties
             cells[r][c] = ids[pick]
             taken[pick] = True
             n_assigned += 1
-    return GridLayout(rows=rows, cols=cols, cells=cells, cell_coords=cell_coords)
+    return GridLayout(rows=rows, cols=cols, cells=cells)

@@ -3,14 +3,18 @@ fine-tune, repeat.
 
 Iteration 0 trains the base model on the original training set. Each later
 iteration renders the similarity grid with the current model's failure
-overlay, asks a selector for (MatchSet, Dataset), the audit record saved
-as matchset.json and the rows to add, appends the rows the working set
-lacks (copied once, into a new working set), and
-fine-tunes at that iteration's learning rate. Rows may come from anywhere
-but the validation and test sets. Each trained model scores the validation
-set once, for its record and the next iteration, and a model no fine-tune
+overlay to saliency.ppm, asks a selector for (MatchSet, Dataset), the audit
+record saved as matchset.json and the rows to add, appends the rows the
+working set lacks (copied once, into a new working set), and fine-tunes at
+that iteration's learning rate. Rows may come from anywhere but the
+validation and test sets. Each trained model scores the validation set
+once, for its record and the next iteration, and a model no fine-tune
 replaced keeps its scores. The loop stops on a validation-accuracy plateau
 or after max_iterations.
+
+Every run writes its directory, out_dir: iter-<t>/ per iteration, holding
+model.json and metrics.json (and, from iteration 1, saliency.ppm and
+matchset.json), and summary.jsonl with one LoopState per line.
 
 The targeted arm (run_loop) takes the pool images nearest to validation
 images drawn by failure score. The control arm (run_random_baseline) draws
@@ -44,6 +48,7 @@ from .classifier import (
 from .dataset import Dataset
 from .errors import DataError
 from .grid import make_grid
+from .netpbm import write_ppm
 from .pca import fit, project
 from .saliency import (
     DEFAULT_ALPHA,
@@ -52,7 +57,6 @@ from .saliency import (
     check_render_settings,
     compute_failures,
     render,
-    save_saliency,
 )
 from .sampler import WEIGHT_MODES, MatchSet, make_weights, match_pool, sample, save_matchset
 from .seeding import derive_seed, make_rng
@@ -98,8 +102,8 @@ class LoopConfig:
             raise DataError(
                 f"lr_schedule has {len(sched)} entries but max_iterations is {self.max_iterations}"
             )
-        if any(lr <= 0.0 for lr in sched):
-            raise DataError("all scheduled learning rates must be positive")
+        if not all(math.isfinite(lr) and lr > 0.0 for lr in sched):
+            raise DataError("all scheduled learning rates must be finite and positive")
         return tuple(sched)
 
     def resolved_k(self, n_val: int) -> int:
@@ -192,15 +196,14 @@ def _run(
     working = train_ds
     refuse_leaks(working.ids())
 
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
-        # an earlier run into this directory may have gone more iterations;
-        # drop its outputs so the tree matches this run's summary.jsonl
-        for stale in out_path.glob("iter-*"):
-            if stale.is_dir():
-                shutil.rmtree(stale)
-        (out_path / "summary.jsonl").unlink(missing_ok=True)
+    out_path = Path(out_dir)
+    out_path.mkdir(parents=True, exist_ok=True)
+    # an earlier run into this directory may have gone more iterations;
+    # drop its outputs so the tree matches this run's summary.jsonl
+    for stale in out_path.glob("iter-*"):
+        if stale.is_dir():
+            shutil.rmtree(stale)
+    (out_path / "summary.jsonl").unlink(missing_ok=True)
 
     # the fit reads the validation set in column blocks, the projection and
     # every scoring in row blocks: no stage holds a float copy of a set
@@ -227,18 +230,14 @@ def _run(
     flat_iters = 0
 
     for t in range(cfg.max_iterations + 1):
-        iter_dir = out_path / f"iter-{t}" if out_path is not None else None
-        if iter_dir is not None:
-            iter_dir.mkdir(exist_ok=True)
+        iter_dir = out_path / f"iter-{t}"
+        iter_dir.mkdir(exist_ok=True)
         if t > 0:
-            if iter_dir is not None:
-                sal_rel = f"iter-{t}/saliency.ppm"
-                image = render(grid, val, failures, cell_px=cfg.cell_px, alpha=cfg.alpha)
-                save_saliency(image, out_path / sal_rel)
+            sal_rel = f"iter-{t}/saliency.ppm"
+            write_ppm(out_path / sal_rel, render(grid, val, failures, cell_px=cfg.cell_px, alpha=cfg.alpha))
             ms, rows = select(t, failures, val_coords, project_pool)
             sel, matched, mode = ms.sampled_val_ids, ms.matched_pool_ids, ms.mode
-            if iter_dir is not None:
-                save_matchset(ms, iter_dir / "matchset.json")
+            save_matchset(ms, iter_dir / "matchset.json")
             trained = None
             if len(rows):
                 held = set(working.ids())
@@ -264,26 +263,25 @@ def _run(
             matched_pool_ids=matched,
             train_size=len(working),
             selection_mode=mode,
+            model_path=f"iter-{t}/model.json",
             saliency_path=sal_rel,
         )
         states.append(state)
-        if iter_dir is not None:
-            state.model_path = f"iter-{t}/model.json"
-            save_model(model, out_path / state.model_path)
-            metrics = {
-                "iteration": t,
-                "val_accuracy": state.val_accuracy,
-                "group_accuracies": state.group_accuracies,
-                "test_accuracy": test_acc,
-                "train_size": state.train_size,
-                "learning_rate": cfg.hyper.learning_rate if t == 0 else sched[t - 1],
-                "n_selected": len(sel),
-                "n_matched": len(matched),
-                "selection_mode": mode,
-                "epochs_run": trained.trained_epochs if trained is not None else None,
-                "best_epoch": trained.best_epoch if trained is not None else None,
-            }
-            (iter_dir / "metrics.json").write_text(json.dumps(metrics), encoding="utf-8")
+        save_model(model, out_path / state.model_path)
+        metrics = {
+            "iteration": t,
+            "val_accuracy": state.val_accuracy,
+            "group_accuracies": state.group_accuracies,
+            "test_accuracy": test_acc,
+            "train_size": state.train_size,
+            "learning_rate": cfg.hyper.learning_rate if t == 0 else sched[t - 1],
+            "n_selected": len(sel),
+            "n_matched": len(matched),
+            "selection_mode": mode,
+            "epochs_run": trained.trained_epochs if trained is not None else None,
+            "best_epoch": trained.best_epoch if trained is not None else None,
+        }
+        (iter_dir / "metrics.json").write_text(json.dumps(metrics), encoding="utf-8")
 
         if t > 0:
             best_acc = max(s.val_accuracy for s in states[:-1])
@@ -291,9 +289,8 @@ def _run(
             if flat_iters >= cfg.convergence_patience:
                 break
 
-    if out_path is not None:
-        lines = [json.dumps(asdict(s)) for s in states]
-        (out_path / "summary.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = [json.dumps(asdict(s)) for s in states]
+    (out_path / "summary.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return states
 
 
@@ -303,7 +300,8 @@ def run_loop(
     pool: Dataset,
     test: Dataset | None = None,
     cfg: LoopConfig = LoopConfig(),
-    out_dir=None,
+    *,
+    out_dir,
 ) -> list[LoopState]:
     """Targeted remediation: sample validation failures, match pool images."""
     k = cfg.resolved_k(len(val))
@@ -327,7 +325,8 @@ def run_random_baseline(
     pool: Dataset,
     test: Dataset | None = None,
     cfg: LoopConfig = LoopConfig(),
-    out_dir=None,
+    *,
+    out_dir,
 ) -> list[LoopState]:
     """Control arm: per iteration, k*m uniform pool draws instead of matching."""
     k = cfg.resolved_k(len(val))

@@ -11,7 +11,7 @@ yellow where it is right.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,6 @@ from .classifier import RefModel, predict_dataset
 from .dataset import Dataset
 from .errors import DataError
 from .grid import GridLayout
-from .netpbm import write_ppm
 
 # Anchor colors for the correctness ramp: failing, middling, correct.
 ANCHORS = (
@@ -40,12 +39,6 @@ class FailureScores:
     ids: list[str]
     predictions: np.ndarray  # (N,) float64 sigmoid scores
     scores: np.ndarray  # (N,) float64 failure scores
-
-
-@dataclass
-class SaliencyImage:
-    pixels: np.ndarray  # (rows*cell_px, cols*cell_px, 3) uint8
-    legend: dict = field(default_factory=dict)
 
 
 def compute_failures(model: RefModel, dataset: Dataset) -> FailureScores:
@@ -106,11 +99,12 @@ def render(
     failures: FailureScores,
     cell_px: int = DEFAULT_CELL_PX,
     alpha: float = DEFAULT_ALPHA,
-) -> SaliencyImage:
-    """Paint the grid: per cell, nearest-neighbor resized image blended with
-    the correctness tint; empty cells are flat mid-gray. Each grid row is
-    painted in one step: one colormap call, one gather of the dataset's
-    8-bit levels, one blend."""
+) -> np.ndarray:
+    """Paint the grid into a (rows*cell_px, cols*cell_px, 3) uint8 canvas:
+    per cell, nearest-neighbor resized image blended with the correctness
+    tint; empty cells are flat mid-gray. Each grid row is painted in one
+    step: one colormap call, one gather of the dataset's 8-bit levels, one
+    blend."""
     check_render_settings(cell_px, alpha)
     if failures.ids != dataset.ids():
         raise DataError("failure scores are not the dataset's records in order")
@@ -129,18 +123,7 @@ def render(
         tint = colormap(1.0 - failures.scores[at]).astype(np.float64)
         blended = (1.0 - alpha) * gray[..., None] + alpha * tint[:, None, None, :]
         block[:, occupied] = np.clip(np.rint(blended), 0, 255).astype(np.uint8).swapaxes(0, 1)
-    legend = {
-        "anchors": {f"{pos}": [int(v) for v in rgb] for pos, rgb in ANCHORS},
-        "encodes": "correctness (1 - failure score)",
-        "alpha": alpha,
-        "cell_px": cell_px,
-        "empty_cell_rgb": list(EMPTY_CELL_RGB),
-    }
-    return SaliencyImage(pixels=canvas, legend=legend)
-
-
-def save_saliency(image: SaliencyImage, path) -> None:
-    write_ppm(path, image.pixels)
+    return canvas
 
 
 def grid_sidecar(grid: GridLayout, failures: FailureScores) -> dict:

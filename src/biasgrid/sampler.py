@@ -1,16 +1,16 @@
 """Failure-driven sampling and pool matching in projection space.
 
-Weights turn per-image failure scores into a categorical distribution.
-Two modes exist: "failure" (the default) weights images toward HIGH
-failure, w_i proportional to C_i, so the hardest validation images are
-drawn most often; "success" weights toward LOW failure, w_i proportional
-to 1 - C_i. Both are kept so the run summary can record which one
-actually remediates; see the loop module.
+make_weights turns per-image failure scores into a categorical
+distribution over validation positions. Two modes exist: "failure" (the
+default) weights images toward HIGH failure, w_i proportional to C_i, so
+the hardest validation images are drawn most often; "success" weights
+toward LOW failure, w_i proportional to 1 - C_i. Both are kept so the run
+summary can record which one actually remediates; see the loop module.
 
-Sampling is inverse-CDF with replacement over the ordered weights.
-Matching finds, for each sampled validation image, the m nearest
-augmentation-pool images by Euclidean distance in the 2-D projection
-space, then deduplicates the union preserving first-seen order.
+sample draws validation positions by inverse-CDF with replacement over
+the ordered weights. match_pool finds, for each sampled position, the m
+nearest augmentation-pool images by Euclidean distance in the 2-D
+projection space, then deduplicates the union preserving first-seen order.
 """
 
 from __future__ import annotations
@@ -31,13 +31,6 @@ WEIGHT_MODES = ("failure", "success")
 
 
 @dataclass
-class SampleWeights:
-    ids: list[str]
-    weights: np.ndarray  # aligned with ids, sums to 1
-    mode: str
-
-
-@dataclass
 class MatchSet:
     """Audit record of one sampling round.
 
@@ -53,8 +46,9 @@ class MatchSet:
     seed: int = 0
 
 
-def make_weights(failures: FailureScores, mode: str = "failure") -> SampleWeights:
-    """Normalize failure scores into a categorical distribution.
+def make_weights(failures: FailureScores, mode: str = "failure") -> np.ndarray:
+    """Normalize failure scores into a categorical distribution, one weight
+    per position of failures, summing to 1.
 
     When the normalizer is zero (all scores 0 in failure mode, all scores
     1 in success mode) the distribution falls back to uniform and a
@@ -62,8 +56,8 @@ def make_weights(failures: FailureScores, mode: str = "failure") -> SampleWeight
     """
     if mode not in WEIGHT_MODES:
         raise DataError(f"unknown weight mode '{mode}' (expected one of {WEIGHT_MODES})")
-    ids, scores = failures.ids, failures.scores
-    if not ids:
+    scores = failures.scores
+    if len(scores) == 0:
         raise DataError("cannot build sample weights from an empty score set")
     raw = scores if mode == "failure" else 1.0 - scores
     total = float(raw.sum())
@@ -73,37 +67,35 @@ def make_weights(failures: FailureScores, mode: str = "failure") -> SampleWeight
             RuntimeWarning,
             stacklevel=2,
         )
-        weights = np.full(len(ids), 1.0 / len(ids))
-    else:
-        weights = raw / total
-    return SampleWeights(ids=ids, weights=weights, mode=mode)
+        return np.full(len(scores), 1.0 / len(scores))
+    return raw / total
 
 
-def sample(weights: SampleWeights, k: int, seed: int) -> list[str]:
-    """Draw k ids with replacement by inverse-CDF over the ordered weights."""
+def sample(weights: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Draw k positions with replacement by inverse-CDF over the ordered weights."""
     if k < 1:
         raise DataError("k must be at least 1")
-    cdf = np.cumsum(weights.weights)
+    cdf = np.cumsum(weights)
     cdf[-1] = 1.0  # guard against accumulated round-off at the top
     u = make_rng(seed).random(k)
     idx = np.searchsorted(cdf, u, side="right")
-    idx = np.minimum(idx, len(weights.ids) - 1)
-    return [weights.ids[i] for i in idx]
+    return np.minimum(idx, len(weights) - 1)
 
 
 def match_pool(
-    sampled_ids: Sequence[str],
+    positions: Sequence[int],
     val_ids: Sequence[str],
     val_coords: np.ndarray,
     pool_ids: Sequence[str],
     pool_coords: np.ndarray,
     m: int,
 ) -> MatchSet:
-    """For each sampled validation image, the m nearest pool images.
+    """For each sampled validation position, the m nearest pool images.
 
-    Distances are Euclidean in the shared projection space; ties go to the
-    lower pool index. The returned matched_pool_ids are deduplicated
-    preserving the order in which they were first selected.
+    A position indexes val_ids and the rows of val_coords. Distances are
+    Euclidean in the shared projection space; ties go to the lower pool
+    index. The returned matched_pool_ids are deduplicated preserving the
+    order in which they were first selected.
     """
     if m < 1:
         raise DataError("m must be at least 1")
@@ -113,17 +105,17 @@ def match_pool(
         raise DataError("cannot match against an empty pool")
     if pool_coords.shape[0] != len(pool_ids) or val_coords.shape[0] != len(val_ids):
         raise DataError("coordinate rows must align with their id lists")
-    row_of = {rec_id: i for i, rec_id in enumerate(val_ids)}
+    outside = [p for p in positions if not 0 <= p < len(val_ids)]
+    if outside:
+        raise DataError(f"sampled position {outside[0]} is outside the validation set of {len(val_ids)}")
     n_take = min(m, pool_coords.shape[0])
 
     matches: list[tuple[str, str, float]] = []
     matched: list[str] = []
     seen: set[str] = set()
-    for rec_id in sampled_ids:
-        if rec_id not in row_of:
-            raise DataError(f"sampled id '{rec_id}' has no validation coordinate")
-        q = val_coords[row_of[rec_id]]
-        d = np.sqrt(np.sum((pool_coords - q) ** 2, axis=1))
+    sampled_ids = [val_ids[p] for p in positions]
+    for rec_id, p in zip(sampled_ids, positions):
+        d = np.sqrt(np.sum((pool_coords - val_coords[p]) ** 2, axis=1))
         order = np.argsort(d, kind="stable")[:n_take]
         for j in order:
             pool_id = pool_ids[int(j)]
@@ -132,7 +124,7 @@ def match_pool(
                 seen.add(pool_id)
                 matched.append(pool_id)
     return MatchSet(
-        sampled_val_ids=list(sampled_ids),
+        sampled_val_ids=sampled_ids,
         matched_pool_ids=matched,
         matches=matches,
     )

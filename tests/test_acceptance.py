@@ -17,7 +17,7 @@ from scipy import stats
 from biasgrid.classifier import (
     RefModel,
     TrainHyper,
-    accuracy,
+    accuracy_from_scores,
     loss_gradient,
     loss_value,
     predict_dataset,
@@ -107,7 +107,7 @@ def test_criterion_3_sampler_statistics():
     weights = make_weights(FailureScores(ids=["a", "b", "c"], predictions=c, scores=c))
     n_draws = 100_000
     draws = sample(weights, n_draws, seed=derive_seed(0, "acceptance", "sampler"))
-    counts = np.array([draws.count(i) for i in ("a", "b", "c")], dtype=np.float64)
+    counts = np.bincount(draws, minlength=3).astype(np.float64)
     freqs = counts / n_draws
     target = np.array([0.7, 0.2, 0.1])
     freq_ok = bool(np.all(np.abs(freqs - target) <= 0.01))
@@ -116,12 +116,12 @@ def test_criterion_3_sampler_statistics():
 
     c = np.array([0.1, 0.4, 0.5])
     flipped = make_weights(FailureScores(ids=["a", "b", "c"], predictions=c, scores=c), mode="success")
-    example_ok = bool(np.all(np.abs(flipped.weights - [0.45, 0.30, 0.25]) <= 1e-12))
+    example_ok = bool(np.all(np.abs(flipped - [0.45, 0.30, 0.25]) <= 1e-12))
     criterion(
         3,
         freq_ok and chi_ok and example_ok,
         f"freqs {freqs.round(4).tolist()}, chi-square p={pvalue:.4f}, "
-        f"success-mode weights {flipped.weights.tolist()}",
+        f"success-mode weights {flipped.tolist()}",
     )
 
 
@@ -155,7 +155,7 @@ def test_criterion_4_gradient_check_and_separable_toy():
         records.append(ImageRecord(f"t{i}", px, i % 2))
     toy = Dataset.from_records(records)
     hyper = TrainHyper(learning_rate=0.5, max_epochs=120, batch_size=8, l2=0.0, seed=2, val_fraction=0.25)
-    toy_acc = accuracy(train(toy, hyper), toy)
+    toy_acc = accuracy_from_scores(predict_dataset(train(toy, hyper), toy), toy.labels())
     elapsed = time.perf_counter() - start
     criterion(
         4,
@@ -215,7 +215,7 @@ def test_criterion_7_learning_rate_ordering():
             full_batch=True,
             seed=derive_seed(0, "train", "0"),
         )
-        return accuracy(train(train_ds, hyper), val_ds)
+        return accuracy_from_scores(predict_dataset(train(train_ds, hyper), val_ds), val_ds.labels())
 
     acc_low = final_acc(1e-4)
     acc_high = final_acc(1e-3)

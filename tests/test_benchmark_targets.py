@@ -6,6 +6,7 @@ package would otherwise break only the benchmark run, not the tests.
 """
 
 import importlib
+import json
 import importlib.util
 import sys
 from pathlib import Path
@@ -49,11 +50,12 @@ def test_tracer_wraps_every_target_and_restores_it(tracing):
 
 
 def test_tracer_counters_read_live_parameters(tracing, tmp_path):
-    # one short loop iteration calls train, fine_tune and render, whose
-    # counters read the parameters named dataset, model and grid
+    # one short loop iteration calls train, fine_tune, render, make_grid and
+    # match_pool; the first three counters read the parameters named
+    # dataset, model and grid, the last two read their results
     spec = CorpusSpec(n_train=40, n_val=16, n_pool=30, height=16, width=16, master_seed=1)
     train_ds, val, pool = generate_corpus(spec)
-    cfg = LoopConfig(max_iterations=1, k=2, m=2, hyper=TrainHyper(max_epochs=3))
+    cfg = LoopConfig(max_iterations=1, k=3, m=3, hyper=TrainHyper(max_epochs=3))
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -65,3 +67,11 @@ def test_tracer_counters_read_live_parameters(tracing, tmp_path):
     assert "classifier.fine_tune.unchanged" in counts["classifier.fine_tune"]
     assert counts["saliency.render"] == {"saliency.render.cells": 16}
     assert counts["loop.run_loop"]["loop.iterations"] == 1
+    assert counts["grid.make_grid"] == {"grid.make_grid.cells": 16}  # the default 4 x 4 grid
+    matchset = json.loads((tmp_path / "iter-1" / "matchset.json").read_text())
+    # k draws of m neighbours each, one of them repeated, so the two counters differ
+    assert len(matchset["matched_pool_ids"]) < len(matchset["matches"]) == 3 * 3
+    assert counts["sampler.match_pool"] == {
+        "sampler.match_pool.neighbours": len(matchset["matches"]),
+        "sampler.match_pool.distinct": len(matchset["matched_pool_ids"]),
+    }

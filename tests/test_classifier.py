@@ -16,14 +16,12 @@ from biasgrid.classifier import (
     RefModel,
     TrainHyper,
     _optimize,
-    accuracy,
     accuracy_from_scores,
     fine_tune,
     load_model,
     loss_gradient,
     loss_value,
     predict_dataset,
-    predict_matrix,
     save_model,
     sigmoid,
     train,
@@ -82,7 +80,7 @@ def test_separable_toy_reaches_full_training_accuracy():
     ds = toy_dataset()
     hyper = TrainHyper(learning_rate=0.5, max_epochs=120, batch_size=8, l2=0.0, seed=2, val_fraction=0.25)
     model = train(ds, hyper)
-    assert accuracy(model, ds) == 1.0
+    assert accuracy_from_scores(predict_dataset(model, ds), ds.labels()) == 1.0
 
 
 def test_training_is_deterministic():
@@ -167,7 +165,7 @@ def ceiling_case(name):
         return init_weights(ds, 2), 0.0, ds, SEPARABLE
     if name == "saturated_fine_tune":
         model = train(ds, SEPARABLE)
-        assert accuracy(model, ds) == 1.0
+        assert accuracy_from_scores(predict_dataset(model, ds), ds.labels()) == 1.0
         return model.weights, model.bias, ds, TrainHyper(learning_rate=0.01, max_epochs=60, seed=7)
     if name == "min_delta":
         # best stop accuracy 0.8 on a 10-image stop split: 0.8 + 0.2 == 1.0
@@ -387,15 +385,9 @@ def test_predict_dimension_mismatch():
     model = RefModel(weights=np.zeros(4), bias=0.0)
     with pytest.raises(DataError, match="9 pixels.*expects 4"):
         predict_dataset(model, toy_dataset(side=3))
-    with pytest.raises(DataError, match="expects 4"):
-        predict_matrix(model, np.zeros((2, 5)))
-
-
-@pytest.mark.parametrize("shape", [(4,), (2, 2, 4)], ids=["1-d", "3-d"])
-def test_predict_matrix_refuses_a_non_2d_input(shape):
-    model = RefModel(weights=np.zeros(4), bias=0.0)
-    with pytest.raises(DataError, match="expected a 2-D matrix"):
-        predict_matrix(model, np.zeros(shape))
+    one_by_five = Dataset.from_matrix(np.zeros((2, 5), np.uint8), 1, 5, ["a", "b"], [0, 1], [None, None])
+    with pytest.raises(DataError, match="5 pixels.*expects 4"):
+        predict_dataset(model, one_by_five)
 
 
 def test_fine_tune_dimension_mismatch():

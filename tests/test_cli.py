@@ -314,6 +314,19 @@ def test_an_out_of_range_setting_exits_two_before_any_file_is_touched(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("schedule", ["nan, inf", "1e-4, inf", "-inf, 1e-4"], ids=["nan-inf", "inf", "-inf"])
+def test_a_non_finite_learning_rate_schedule_exits_two_before_any_file_is_written(tmp_path, capsys, schedule):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SMALL_CORPUS_CFG.replace("loop.max_iterations = 1", "loop.max_iterations = 2")
+                   + f"loop.lr_schedule = {schedule}\n")
+    out = tmp_path / "out"
+    code = main(["--config", str(cfg), "--out-dir", str(out), "loop"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and "loop.lr_schedule" in err and "not finite" in err
+    assert not out.exists()
+
+
 def test_visualize_takes_the_grid_shape_from_the_config_and_flags(tmp_path, small_cfg, capsys):
     out = run_synth(tmp_path, small_cfg)
     main(["--out-dir", str(out), "fit-pca", "--manifest", str(out / "val.jsonl"), "--out", "basis.json"])

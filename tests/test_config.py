@@ -127,6 +127,10 @@ def test_unparseable_value_reports_key_and_kind(tmp_path):
     path = write(tmp_path, "loop.lr_schedule = ,\n")
     with pytest.raises(ConfigError, match="as float_list"):
         load_config(path)
+    for listed in ("nan, 1e-4", "1e-4, inf", "-inf"):
+        path = write(tmp_path, f"loop.lr_schedule = {listed}\n")
+        with pytest.raises(ConfigError, match=r"as float_list \(not finite\)"):
+            load_config(path)
 
 
 def test_line_without_equals_is_rejected(tmp_path):

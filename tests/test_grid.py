@@ -51,8 +51,9 @@ def test_ties_break_to_lowest_index():
 def test_single_cell_uses_bounding_box_center():
     coords = np.array([[0.0, 0.0], [4.0, 2.0], [1.0, 0.1]])
     layout = make_grid(coords, 1, 1)
-    assert layout.cell_coords[0, 0].tolist() == [2.0, 1.0]
-    assert layout.cells == [["2"]]  # index 2 is nearest to (2, 1)
+    # the one lattice point is the bounding box center (2, 1); a point at
+    # either corner, (0, 0) or (4, 2), would take index 0 or 1 instead
+    assert layout.cells == [["2"]]
 
 
 @settings(max_examples=40, deadline=None)

@@ -65,6 +65,14 @@ def test_config_validation():
     assert LoopConfig(k=9).resolved_k(36) == 9
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_a_non_finite_scheduled_rate_is_refused(rate):
+    with pytest.raises(DataError, match="must be finite and positive"):
+        LoopConfig(max_iterations=2, lr_schedule=(1e-4, rate)).validate()
+    with pytest.raises(DataError, match="must be finite and positive"):
+        LoopConfig(max_iterations=1, lr_schedule=(rate,)).resolved_schedule()
+
+
 @pytest.mark.parametrize(
     "setting, message",
     [
@@ -94,7 +102,7 @@ def select_every_other(pool):
 
 
 @pytest.mark.parametrize("arm", ["targeted", "random", "every_other"])
-def test_each_trained_model_is_scored_once(small_corpus, monkeypatch, arm):
+def test_each_trained_model_is_scored_once(small_corpus, monkeypatch, tmp_path, arm):
     calls = {"predict_dataset": 0, "fine_tune": 0}
 
     def counting(module, name):
@@ -112,11 +120,11 @@ def test_each_trained_model_is_scored_once(small_corpus, monkeypatch, arm):
     train_ds, val, pool = small_corpus
     cfg = small_cfg(max_iterations=4, convergence_patience=10)
     if arm == "targeted":
-        states = run_loop(train_ds, val, pool, cfg=cfg)
+        states = run_loop(train_ds, val, pool, cfg=cfg, out_dir=tmp_path)
     elif arm == "random":
-        states = run_random_baseline(train_ds, val, pool, cfg=cfg)
+        states = run_random_baseline(train_ds, val, pool, cfg=cfg, out_dir=tmp_path)
     else:
-        states = _run(train_ds, val, pool, None, cfg, None, select_every_other(pool))
+        states = _run(train_ds, val, pool, None, cfg, tmp_path, select_every_other(pool))
         # a model that no fine-tune replaced keeps its scores
         assert [s.val_accuracy for s in states[1::2]] == [s.val_accuracy for s in states[0::2][:2]]
     assert len(states) == 5
@@ -125,7 +133,7 @@ def test_each_trained_model_is_scored_once(small_corpus, monkeypatch, arm):
 
 
 @pytest.mark.parametrize("arm, projections", [("targeted", 2), ("random", 1)])
-def test_pool_is_projected_only_for_a_selector_that_reads_it(small_corpus, monkeypatch, arm, projections):
+def test_pool_is_projected_only_for_a_selector_that_reads_it(small_corpus, monkeypatch, tmp_path, arm, projections):
     # the validation set is projected once per run; the pool once, on the
     # targeted selector's first request, and never for the random arm
     calls = []
@@ -138,7 +146,7 @@ def test_pool_is_projected_only_for_a_selector_that_reads_it(small_corpus, monke
     monkeypatch.setattr(biasgrid.loop, "project", counted)
     train_ds, val, pool = small_corpus
     runner = run_loop if arm == "targeted" else run_random_baseline
-    states = runner(train_ds, val, pool, cfg=small_cfg(max_iterations=3, convergence_patience=10))
+    states = runner(train_ds, val, pool, cfg=small_cfg(max_iterations=3, convergence_patience=10), out_dir=tmp_path)
     assert len(states) == 4
     assert calls == [len(val), len(pool)][:projections]
 
@@ -224,33 +232,24 @@ def test_rerun_into_the_same_directory_drops_stale_iterations(small_corpus, tmp_
     assert on_disk == named == {"iter-0", "iter-1"}
 
 
-def test_loop_without_out_dir_writes_nothing(small_corpus, tmp_path):
+def test_loop_is_deterministic(small_corpus, tmp_path):
     train_ds, val_ds, pool_ds = small_corpus
-    states = run_loop(train_ds, val_ds, pool_ds, cfg=small_cfg(), out_dir=None)
-    assert list(tmp_path.iterdir()) == []
-    assert all(s.model_path is None and s.saliency_path is None for s in states)
-    assert states[0].selected_val_ids == []
-    assert len(states) >= 2
-
-
-def test_loop_is_deterministic(small_corpus):
-    train_ds, val_ds, pool_ds = small_corpus
-    a = run_loop(train_ds, val_ds, pool_ds, cfg=small_cfg())
-    b = run_loop(train_ds, val_ds, pool_ds, cfg=small_cfg())
+    a = run_loop(train_ds, val_ds, pool_ds, cfg=small_cfg(), out_dir=tmp_path / "a")
+    b = run_loop(train_ds, val_ds, pool_ds, cfg=small_cfg(), out_dir=tmp_path / "b")
     assert [s.val_accuracy for s in a] == [s.val_accuracy for s in b]
     assert [s.matched_pool_ids for s in a] == [s.matched_pool_ids for s in b]
     assert [s.selected_val_ids for s in a] == [s.selected_val_ids for s in b]
 
 
-def test_success_mode_is_recorded(small_corpus):
+def test_success_mode_is_recorded(small_corpus, tmp_path):
     train_ds, val_ds, pool_ds = small_corpus
-    states = run_loop(train_ds, val_ds, pool_ds, cfg=small_cfg(weight_mode="success"))
+    states = run_loop(train_ds, val_ds, pool_ds, cfg=small_cfg(weight_mode="success"), out_dir=tmp_path)
     assert states[1].selection_mode == "success"
 
 
-def test_random_baseline_draws_budget_uniformly(small_corpus):
+def test_random_baseline_draws_budget_uniformly(small_corpus, tmp_path):
     train_ds, val_ds, pool_ds = small_corpus
-    states = run_random_baseline(train_ds, val_ds, pool_ds, cfg=small_cfg())
+    states = run_random_baseline(train_ds, val_ds, pool_ds, cfg=small_cfg(), out_dir=tmp_path)
     s1 = states[1]
     assert s1.selection_mode == "random"
     assert s1.selected_val_ids == []
@@ -258,18 +257,18 @@ def test_random_baseline_draws_budget_uniformly(small_corpus):
     assert set(s1.matched_pool_ids) <= set(pool_ds.ids())
 
 
-def test_plateau_stops_the_loop_early(small_corpus):
+def test_plateau_stops_the_loop_early(small_corpus, tmp_path):
     train_ds, val_ds, pool_ds = small_corpus
     cfg = small_cfg(max_iterations=6, convergence_min_delta=2.0, convergence_patience=2)
-    states = run_loop(train_ds, val_ds, pool_ds, cfg=cfg)
+    states = run_loop(train_ds, val_ds, pool_ds, cfg=cfg, out_dir=tmp_path)
     assert len(states) == 3  # iteration 0 plus two flat iterations
 
 
-def test_validation_leak_is_refused(small_corpus):
+def test_validation_leak_is_refused(small_corpus, tmp_path):
     train_ds, val_ds, pool_ds = small_corpus
     poisoned = Dataset.from_records(list(train_ds.records) + [val_ds.records[0]])
     with pytest.raises(DataError, match="leaked"):
-        run_loop(poisoned, val_ds, pool_ds, cfg=small_cfg())
+        run_loop(poisoned, val_ds, pool_ds, cfg=small_cfg(), out_dir=tmp_path)
 
 
 def flipped(ds, n):
@@ -280,7 +279,7 @@ def flipped(ds, n):
                                ds.labels()[:n].tolist(), ds.groups()[:n])
 
 
-def test_a_selector_may_add_rows_that_are_not_in_the_pool(small_corpus):
+def test_a_selector_may_add_rows_that_are_not_in_the_pool(small_corpus, tmp_path):
     train_ds, val_ds, pool_ds = small_corpus
     mirrors = flipped(train_ds, 6)
 
@@ -289,7 +288,7 @@ def test_a_selector_may_add_rows_that_are_not_in_the_pool(small_corpus):
         return MatchSet(sampled_val_ids=[], matched_pool_ids=[], matches=[], mode="mirror", seed=t), rows
 
     cfg = small_cfg(max_iterations=2, convergence_patience=10)
-    states = _run(train_ds, val_ds, pool_ds, None, cfg, None, select_mirrors)
+    states = _run(train_ds, val_ds, pool_ds, None, cfg, tmp_path, select_mirrors)
     assert [s.train_size for s in states] == [len(train_ds), len(train_ds) + 3, len(train_ds) + 6]
 
     def select_a_validation_row(t, failures, val_coords, project_pool):
@@ -297,20 +296,20 @@ def test_a_selector_may_add_rows_that_are_not_in_the_pool(small_corpus):
         return MatchSet(sampled_val_ids=[], matched_pool_ids=rows.ids(), matches=[], mode="leak", seed=t), rows
 
     with pytest.raises(DataError, match=f"validation record '{val_ds.ids()[0]}' leaked"):
-        _run(train_ds, val_ds, pool_ds, None, cfg, None, select_a_validation_row)
+        _run(train_ds, val_ds, pool_ds, None, cfg, tmp_path, select_a_validation_row)
 
 
-def test_split_dimensions_must_agree(small_corpus):
+def test_split_dimensions_must_agree(small_corpus, tmp_path):
     train_ds, val_ds, pool_ds = small_corpus
     other = generate_corpus(
         CorpusSpec(n_train=10, n_val=10, n_pool=10, height=32, width=32, master_seed=1)
     )[1]
     with pytest.raises(DataError, match="dimensions do not match"):
-        run_loop(train_ds, other, pool_ds, cfg=small_cfg())
+        run_loop(train_ds, other, pool_ds, cfg=small_cfg(), out_dir=tmp_path)
 
 
-def test_group_accuracies_cover_both_subgroups(small_corpus):
+def test_group_accuracies_cover_both_subgroups(small_corpus, tmp_path):
     train_ds, val_ds, pool_ds = small_corpus
-    states = run_loop(train_ds, val_ds, pool_ds, cfg=small_cfg(max_iterations=1))
+    states = run_loop(train_ds, val_ds, pool_ds, cfg=small_cfg(max_iterations=1), out_dir=tmp_path)
     assert set(states[0].group_accuracies) == {"dark", "light"}
     assert all(0.0 <= v <= 1.0 for v in states[0].group_accuracies.values())

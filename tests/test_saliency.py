@@ -10,6 +10,7 @@ from biasgrid.classifier import RefModel
 from biasgrid.dataset import Dataset, ImageRecord
 from biasgrid.errors import DataError
 from biasgrid.grid import make_grid
+from biasgrid.netpbm import write_ppm
 from biasgrid.saliency import (
     ANCHORS,
     EMPTY_CELL_RGB,
@@ -18,7 +19,6 @@ from biasgrid.saliency import (
     compute_failures,
     grid_sidecar,
     render,
-    save_saliency,
     save_sidecar,
 )
 from oracles import per_pixel_render
@@ -78,10 +78,10 @@ def test_render_blends_image_and_tint_exactly():
     ds = Dataset.from_records([ImageRecord("solo", np.full((32, 32), 0.5), 0)])
     grid = make_grid(np.array([[0.0, 0.0]]), 1, 1, ids=["solo"])
     failures = failures_of(["solo"], [1.0], [0.0])  # C=1, correctness 0
-    img = render(grid, ds, failures, cell_px=32, alpha=0.4)
+    canvas = render(grid, ds, failures, cell_px=32, alpha=0.4)
     # gray 128 blended with the failing anchor (68, 1, 84)
-    assert img.pixels.shape == (32, 32, 3)
-    assert np.all(img.pixels == np.array([104, 77, 110], dtype=np.uint8))
+    assert canvas.shape == (32, 32, 3)
+    assert np.all(canvas == np.array([104, 77, 110], dtype=np.uint8))
 
 
 def test_render_alpha_zero_is_nearest_neighbor_grayscale():
@@ -89,24 +89,24 @@ def test_render_alpha_zero_is_nearest_neighbor_grayscale():
     ds = Dataset.from_records([ImageRecord("im", px, 0)])
     grid = make_grid(np.array([[0.0, 0.0]]), 1, 1, ids=["im"])
     failures = failures_of(["im"], [0.0], [0.0])
-    img = render(grid, ds, failures, cell_px=16, alpha=0.0)
+    canvas = render(grid, ds, failures, cell_px=16, alpha=0.0)
     gray = np.rint(px * 255.0)
     expected = np.repeat(np.repeat(gray, 2, axis=0), 2, axis=1)
-    assert np.array_equal(img.pixels[:, :, 0], expected.astype(np.uint8))
-    assert np.array_equal(img.pixels[:, :, 0], img.pixels[:, :, 2])
+    assert np.array_equal(canvas[:, :, 0], expected.astype(np.uint8))
+    assert np.array_equal(canvas[:, :, 0], canvas[:, :, 2])
 
 
 def test_render_paints_empty_cells_gray():
     ds = flat_dataset([0.3, 0.6])
     grid = make_grid(np.array([[0.0, 0.0], [1.0, 1.0]]), 2, 2, ids=ds.ids())
     failures = failures_of(ds.ids(), [0.0, 0.0], [0.0, 1.0])
-    img = render(grid, ds, failures, cell_px=8)
+    canvas = render(grid, ds, failures, cell_px=8)
     empties = [
         (r, c) for r in range(2) for c in range(2) if grid.cells[r][c] is None
     ]
     assert len(empties) == 2
     for r, c in empties:
-        block = img.pixels[r * 8 : (r + 1) * 8, c * 8 : (c + 1) * 8]
+        block = canvas[r * 8 : (r + 1) * 8, c * 8 : (c + 1) * 8]
         assert np.all(block == np.array(EMPTY_CELL_RGB, dtype=np.uint8))
 
 
@@ -121,22 +121,12 @@ def test_render_matches_per_pixel_reference(alpha):
     labels = [0.0] * 10
     preds = np.concatenate([[0.5, 0.0, 1.0, 0.25], rng.random(6)])  # correctness 0.5, 1, 0, 0.75
     failures = failures_of(ds.ids(), preds, labels)
-    img = render(grid, ds, failures, cell_px=9, alpha=alpha)
+    canvas = render(grid, ds, failures, cell_px=9, alpha=alpha)
     images = {rec.id: rec.pixels for rec in ds.records}
     scores = dict(zip(failures.ids, failures.scores))
     expected = per_pixel_render(grid.cells, images, scores, 9, alpha, ANCHORS, EMPTY_CELL_RGB)
     assert [sum(c is None for c in row) for row in grid.cells] == [1, 0, 2, 4]
-    assert np.array_equal(img.pixels, expected)
-
-
-def test_render_legend_documents_the_encoding():
-    ds = flat_dataset([0.3])
-    grid = make_grid(np.array([[0.0, 0.0]]), 1, 1, ids=["f0"])
-    failures = failures_of(["f0"], [0.0], [0.0])
-    img = render(grid, ds, failures, cell_px=8, alpha=0.25)
-    assert img.legend["anchors"]["0.0"] == [68, 1, 84]
-    assert img.legend["alpha"] == 0.25
-    assert img.legend["empty_cell_rgb"] == list(EMPTY_CELL_RGB)
+    assert np.array_equal(canvas, expected)
 
 
 def test_render_input_validation():
@@ -162,12 +152,13 @@ def test_render_refuses_scores_out_of_the_datasets_order():
         render(grid, ds, failures_of(["f0", "f1"], [0.0, 1.0], [0.0, 1.0]))
 
 
-def test_save_saliency_writes_ppm(tmp_path):
+def test_rendered_canvas_writes_as_ppm(tmp_path):
     ds = flat_dataset([0.3])
     grid = make_grid(np.array([[0.0, 0.0]]), 1, 1, ids=["f0"])
     failures = failures_of(["f0"], [0.5], [0.0])
-    img = render(grid, ds, failures, cell_px=8)
-    save_saliency(img, tmp_path / "s.ppm")
+    canvas = render(grid, ds, failures, cell_px=8)
+    assert canvas.dtype == np.uint8 and canvas.shape == (8, 8, 3)
+    write_ppm(tmp_path / "s.ppm", canvas)
     data = (tmp_path / "s.ppm").read_bytes()
     assert data.startswith(b"P6\n8 8\n255\n")
     assert len(data) == len(b"P6\n8 8\n255\n") + 8 * 8 * 3
