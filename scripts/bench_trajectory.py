@@ -13,7 +13,10 @@ and quartiles of each end-to-end metric, the number of pairs the change
 won, the share of failed operations, and every traced layer metric per
 seed. A --seeds range of fewer than two seeds, or an empty --traced-seeds
 range, is refused before any run. Progress lines print the layer metrics
-in TRACED, and each untraced pair's setup_s on both sides.
+in TRACED, and each untraced pair's setup_s on both sides. A run that exits
+nonzero ends the script with exit status 1 and --out unwritten, after it
+prints the run's side, seed, trace flag, exit status and the last lines of
+its stderr.
 """
 
 import argparse
@@ -27,13 +30,19 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from repeat import seeds  # noqa: E402
 
+# lines of a failed run's stderr to print
+STDERR_LINES = 20
 TRACED = ("pca.fit.s", "pca.project.s", "saliency.compute_failures.s", "sampler.match_pool.s", "saliency.render.s")
 
 
 def run(side: str, checkout: Path, spec: dict, workload: str, seed: int, trace: int) -> dict:
     cmd = [sys.executable, *spec["command"][1:], "--workload", workload, "--seed", str(seed),
            "--seconds", str(spec["run_seconds"]), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        tail = "\n".join(proc.stderr.splitlines()[-STDERR_LINES:])
+        sys.exit(f"{side} seed {seed} trace {trace}: run.py exited {proc.returncode}; "
+                 f"the last lines of its stderr:\n{tail}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     print(f"{side} seed {seed} trace {trace}: correct={result['correct']} "
           + " ".join(f"{n}={result['metrics'][n]['value']:.4g}" for n in (TRACED if trace else result["metrics"])),

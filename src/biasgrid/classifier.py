@@ -123,7 +123,11 @@ def predict_dataset(model: RefModel, dataset: Dataset) -> np.ndarray:
 
 def loss_value(weights: np.ndarray, bias: float, mat: np.ndarray, labels: np.ndarray, l2: float) -> float:
     """Mean binary cross-entropy plus l2 * ||w||^2 / 2 (bias unpenalized)."""
-    z = mat @ weights + bias
+    return _loss_from_logits(mat @ weights + bias, labels, weights, l2)
+
+
+def _loss_from_logits(z: np.ndarray, labels: np.ndarray, weights: np.ndarray, l2: float) -> float:
+    """loss_value given the logits z = mat @ weights + bias."""
     # log(1 + e^z) - y*z, computed without overflow
     bce = np.mean(np.logaddexp(0.0, z) - labels * z)
     return float(bce + 0.5 * l2 * float(weights @ weights))
@@ -247,8 +251,9 @@ def _optimize(w0: np.ndarray, b0: float, dataset: Dataset, hyper: TrainHyper) ->
                     b -= hyper.learning_rate * grad_b
                 if last:
                     break
-            stop_acc = accuracy_from_scores(sigmoid(stop_x @ w + b), stop_y)
-            history.append((loss_value(w, b, stop_x, stop_y, hyper.l2), stop_acc))
+            stop_z = stop_x @ w + b
+            stop_acc = accuracy_from_scores(sigmoid(stop_z), stop_y)
+            history.append((_loss_from_logits(stop_z, stop_y, w, hyper.l2), stop_acc))
             if stop_acc > best_acc + hyper.early_stop_min_delta:
                 best_acc = stop_acc
                 best_w, best_b, best_epoch = w.copy(), b, epoch

@@ -30,12 +30,29 @@ second pass rebuilds each block and forms its rows of C^T U2. A matrix
 block holding a non-finite value is refused. project reads rows instead,
 one block of about dataset.ROW_BLOCK_BYTES at a time.
 
+From GRAM_SPLIT_ROWS rows on, each block's product is split over two
+threads by rows: with C_a the block's first N // 2 rows and C_b the rest,
+the calling thread forms C_a C_a^T and C_b C_b^T (numpy hands a product of
+a matrix with its own transpose to a symmetric rank-k update, half the
+work of a general product) while a helper thread forms C_a C_b^T, about
+as much work as the other two together. Each product goes through
+np.matmul(out=) into a preallocated array and is added over the blocks in
+block order; the lower-left block of G is mirrored from the upper-right
+once at the end. The gate exists because below it the split was no
+faster (see GRAM_SPLIT_ROWS) and rounded differently from the whole
+product, which would move the bytes of loop runs at package defaults (300
+validation rows). At and above it, G can still differ from the unsplit
+product in its last bits, depending on how the BLAS kernels' edge blocks
+fall: with OpenBLAS 0.3.31 it was byte-identical at 512, 768 and 1024
+rows, and at 600 and 1000 rows the components moved by at most 3e-17.
+
 The trained_on fingerprint, a SHA-256 pass over the C-order bytes of the
-float64 input matrix that no step of the fit reads, runs on one helper
-thread while the calling thread fits. The two overlap because hashlib
-releases the GIL while it hashes a large buffer, and numpy releases it in
-BLAS products and in ufunc loops over large arrays. A Dataset's helper
-hashes its row blocks of levels / 255.0, so it keeps no float copy either.
+float64 input matrix that no step of the fit reads, runs on a helper
+thread of the same two-worker pool while the calling thread fits. They
+overlap because hashlib releases the GIL while it hashes a large buffer,
+and numpy releases it in BLAS products and in ufunc loops over large
+arrays. A Dataset's helper hashes its row blocks of levels / 255.0, so it
+keeps no float copy either.
 """
 
 from __future__ import annotations
@@ -75,6 +92,13 @@ SUBSPACE_SEED = 0
 # 1024 x 9216 Dataset took 0.36 s in one block, 0.37 s in blocks of 2304
 # columns and 0.41 s in blocks of 1024 (medians of 8, one BLAS thread).
 FIT_BLOCK_COLS = 2304
+
+# Rows from which the Gram product is split over the calling thread and one
+# helper (see the module docstring): the measured crossover. Median fit
+# times, unsplit against split, one BLAS thread on 2 cores: 22.8 / 23.4 ms
+# at 300 x 4096, 103.1 / 98.5 ms at 512 x 9216, 219.8 / 174.7 ms at
+# 768 x 9216.
+GRAM_SPLIT_ROWS = 512
 
 
 @dataclass
@@ -164,13 +188,54 @@ def _gram_top2(gram: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _gram_fit(source: Dataset | np.ndarray, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+class _SplitGram:
+    """G = C C^T summed over column blocks from 2 x 2 row blocks of each:
+    with C_a the first n // 2 rows of a block and C_b the rest, the calling
+    thread adds C_a C_a^T and C_b C_b^T while one helper thread adds
+    C_a C_b^T; the lower-left block is mirrored once, by result."""
+
+    def __init__(self, n: int, pool: ThreadPoolExecutor):
+        self.h = h = n // 2
+        self.pool = pool
+        self.gram = np.empty((n, n))
+        self.square = np.empty((n - h, n - h))  # C_a C_a^T, then C_b C_b^T
+        self.corner = np.empty((h, n - h))  # the helper's C_a C_b^T
+        self.blocks = 0
+
+    def _add(self, a: np.ndarray, b: np.ndarray, into: np.ndarray, tmp: np.ndarray) -> None:
+        """into (+)= a b^T through np.matmul(out=): the first block writes
+        into G directly, later ones into tmp and then add it."""
+        if self.blocks == 0:
+            np.matmul(a, b.T, out=into)
+        else:
+            into += np.matmul(a, b.T, out=tmp[: len(a), : len(b)])
+
+    def add(self, block: np.ndarray) -> None:
+        h, gram = self.h, self.gram
+        c_a, c_b = block[:h], block[h:]
+        corner = self.pool.submit(self._add, c_a, c_b, gram[:h, h:], self.corner)
+        try:
+            self._add(c_a, c_a, gram[:h, :h], self.square)
+            self._add(c_b, c_b, gram[h:, h:], self.square)
+        finally:
+            corner.result()  # the helper reads block, which the caller refills next
+        self.blocks += 1
+
+    def result(self) -> np.ndarray:
+        h, gram = self.h, self.gram
+        gram[h:, :h] = gram[:h, h:].T
+        return gram
+
+
+def _gram_fit(source: Dataset | np.ndarray, n: int, p: int, pool: ThreadPoolExecutor) -> tuple[np.ndarray, np.ndarray]:
     """(mean, C^T U2) of a wide source, read in column blocks (see the module
-    docstring)."""
+    docstring); from GRAM_SPLIT_ROWS rows on, pool's helper thread takes a
+    share of the Gram product."""
     width = min(p, FIT_BLOCK_COLS)
     buf = np.empty(n * width)
     spans = [(a, min(a + width, p)) for a in range(0, p, width)]
     mean = np.empty(p)
+    split = _SplitGram(n, pool) if n >= GRAM_SPLIT_ROWS else None
 
     def block_of(start: int, stop: int) -> np.ndarray:
         return _columns(source, start, stop, buf[: n * (stop - start)].reshape(n, stop - start))
@@ -179,10 +244,14 @@ def _gram_fit(source: Dataset | np.ndarray, n: int, p: int) -> tuple[np.ndarray,
         block = block_of(start, stop)
         mean[start:stop] = block.mean(axis=0)
         block -= mean[start:stop]
-        if start == 0:
+        if split is not None:
+            split.add(block)
+        elif start == 0:
             gram = block @ block.T
         else:
             gram += block @ block.T
+    if split is not None:
+        gram = split.result()
     u2 = _gram_top2(gram)
     if u2 is None:
         u2 = np.linalg.eigh(gram)[1][:, :-3:-1]
@@ -199,10 +268,11 @@ def fit(data) -> PcaBasis:
     """Fit the rank-2 basis on a dataset or raw N x P matrix.
 
     The fingerprint of the input is hashed on a helper thread while this
-    thread fits (see the module docstring); the thread is joined before fit
-    returns or raises, and an input refused for its shape starts none. A
-    caller's matrix is never written to, and a wide input is read in column
-    blocks, never whole.
+    thread fits, and from GRAM_SPLIT_ROWS rows on a second helper takes a
+    share of the Gram product (see the module docstring); both are joined
+    before fit returns or raises, and an input refused for its shape starts
+    none. A caller's matrix is never written to, and a wide input is read
+    in column blocks, never whole.
 
     Raises DataError when a matrix holds a non-finite value, and
     NumericalError when the centered spectrum is degenerate (the second
@@ -214,10 +284,10 @@ def fit(data) -> PcaBasis:
         raise DataError(f"fit needs at least 3 rows, got {n}")
     if p < 2:
         raise DataError(f"fit needs at least 2 columns, got {p}")
-    with ThreadPoolExecutor(max_workers=1) as hasher:
-        fingerprint = hasher.submit(dataset_fingerprint, source)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        fingerprint = pool.submit(dataset_fingerprint, source)
         if n <= p:
-            mean, ct_u2 = _gram_fit(source, n, p)
+            mean, ct_u2 = _gram_fit(source, n, p, pool)
             components, s, _ = np.linalg.svd(ct_u2, full_matrices=False)
         if n > p or s[1] < GRAM_MIN_RATIO * s[0]:
             centered = _columns(source, 0, p, np.empty((n, p)))

@@ -11,6 +11,7 @@ yellow where it is right.
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,7 +105,14 @@ def render(
     per cell, nearest-neighbor resized image blended with the correctness
     tint; empty cells are flat mid-gray. Each grid row is painted in one
     step: one colormap call, one gather of the dataset's 8-bit levels, one
-    blend."""
+    blend.
+
+    A helper thread paints the lower half of the grid rows while the
+    calling thread paints the upper half (numpy releases the GIL in the
+    gathers and the blend). Each row writes only its own slice of the
+    canvas with the same arithmetic, so the canvas holds the bytes of a
+    one-thread paint. The helper is joined before render returns or
+    raises."""
     check_render_settings(cell_px, alpha)
     if failures.ids != dataset.ids():
         raise DataError("failure scores are not the dataset's records in order")
@@ -113,16 +121,25 @@ def render(
     canvas = np.empty((grid.rows * cell_px, grid.cols * cell_px, 3), dtype=np.uint8)
     # one grid row of the canvas as cell_px x cols x cell_px x 3: cell c is [:, c]
     row_blocks = canvas.reshape(grid.rows, cell_px, grid.cols, cell_px, 3)
-    for block, row in zip(row_blocks, grid.cells):
-        block[...] = EMPTY_CELL_RGB
-        occupied = [c for c, rec_id in enumerate(row) if rec_id is not None]
-        if not occupied:
-            continue
-        at = [pos[row[c]] for c in occupied]
-        gray = _resize_nearest(images[at], cell_px).astype(np.float64)
-        tint = colormap(1.0 - failures.scores[at]).astype(np.float64)
-        blended = (1.0 - alpha) * gray[..., None] + alpha * tint[:, None, None, :]
-        block[:, occupied] = np.clip(np.rint(blended), 0, 255).astype(np.uint8).swapaxes(0, 1)
+
+    def paint(rows: range) -> None:
+        for r in rows:
+            block, row = row_blocks[r], grid.cells[r]
+            block[...] = EMPTY_CELL_RGB
+            occupied = [c for c, rec_id in enumerate(row) if rec_id is not None]
+            if not occupied:
+                continue
+            at = [pos[row[c]] for c in occupied]
+            gray = _resize_nearest(images[at], cell_px).astype(np.float64)
+            tint = colormap(1.0 - failures.scores[at]).astype(np.float64)
+            blended = (1.0 - alpha) * gray[..., None] + alpha * tint[:, None, None, :]
+            block[:, occupied] = np.clip(np.rint(blended), 0, 255).astype(np.uint8).swapaxes(0, 1)
+
+    upper = (grid.rows + 1) // 2
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        lower = helper.submit(paint, range(upper, grid.rows))
+        paint(range(upper))
+        lower.result()
     return canvas
 
 

@@ -72,14 +72,20 @@ def make_weights(failures: FailureScores, mode: str = "failure") -> np.ndarray:
 
 
 def sample(weights: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Draw k positions with replacement by inverse-CDF over the ordered weights."""
+    """Draw k positions with replacement by inverse-CDF over the ordered
+    weights. A zero-weight position is never drawn, and weights without a
+    positive entry are refused."""
     if k < 1:
         raise DataError("k must be at least 1")
+    positive = np.flatnonzero(weights > 0)
+    if len(positive) == 0:
+        raise DataError("sample weights hold no positive entry")
     cdf = np.cumsum(weights)
-    cdf[-1] = 1.0  # guard against accumulated round-off at the top
-    u = make_rng(seed).random(k)
-    idx = np.searchsorted(cdf, u, side="right")
-    return np.minimum(idx, len(weights) - 1)
+    # The cdf reaches 1 at the last positive weight, so a draw just below 1
+    # lands there, never on a zero-weight position after it that round-off
+    # at the top would otherwise open up.
+    cdf[positive[-1] :] = 1.0
+    return np.searchsorted(cdf, make_rng(seed).random(k), side="right")
 
 
 def match_pool(

@@ -1,4 +1,5 @@
-"""scripts/bench_trajectory.py refuses seed ranges it cannot summarise."""
+"""scripts/bench_trajectory.py refuses seed ranges it cannot summarise and
+reports a benchmark run that fails."""
 
 import subprocess
 import sys
@@ -27,3 +28,22 @@ def test_a_seed_range_too_short_to_summarise_is_refused_before_any_run(tmp_path,
     assert proc.returncode == 2
     assert message in proc.stderr
     assert proc.stdout == "" and not out.exists()
+
+
+def test_a_failed_run_names_its_side_and_shows_its_stderr(tmp_path):
+    # a parent checkout whose run.py fails: the first run of the first pair
+    parent = tmp_path / "parent"
+    (parent / "perfbench").mkdir(parents=True)
+    (parent / "perfbench" / "run.py").write_text(
+        "import sys\nprint('early line', file=sys.stderr)\n"
+        "print('run.py: no such workload', file=sys.stderr)\nsys.exit(3)\n")
+    out = tmp_path / "bench.json"
+    out.write_text("{}\n")
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--parent", str(parent), "--workload", "grid-large",
+                           "--seeds", "1-2", "--out", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "parent seed 1 trace 0: run.py exited 3" in proc.stderr
+    assert "early line\nrun.py: no such workload" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert out.read_text() == "{}\n"

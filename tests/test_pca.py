@@ -14,6 +14,7 @@ from biasgrid.dataset import ROW_BLOCK_BYTES, Dataset, ImageRecord
 from biasgrid.errors import DataError, NumericalError
 from biasgrid.pca import (
     FIT_BLOCK_COLS,
+    GRAM_SPLIT_ROWS,
     _fix_signs,
     dataset_fingerprint,
     fit,
@@ -289,6 +290,40 @@ def test_a_dataset_fit_over_column_blocks_matches_the_oracle():
     assert np.max(np.abs(np.array(basis.singular_values) - svals) / svals) <= 1e-6
 
 
+def copied_levels(distinct: int, copies: int, pixels: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct random rows, those rows each repeated `copies` times in a
+    shuffled order). The centred copies have the distinct rows' right
+    singular vectors and sqrt(copies) times their singular values."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 256, size=(distinct, pixels), dtype=np.uint8)
+    return base, base[rng.permutation(np.repeat(np.arange(distinct), copies))]
+
+
+@pytest.mark.parametrize("distinct", [64, 80], ids=["512-rows", "640-rows"])
+def test_a_fit_with_the_gram_product_split_over_two_threads_matches_the_oracle(distinct):
+    # 47 x 100 images: three column blocks, the last one partial. Jacobi over
+    # 512 columns takes tens of seconds, so the oracle runs on the distinct
+    # rows, each copied 8 times in a shuffled order into rows of both halves.
+    height, width, copies = 47, 100, 8
+    assert 2 * FIT_BLOCK_COLS < height * width < 3 * FIT_BLOCK_COLS
+    base, levels = copied_levels(distinct, copies, height * width, seed=40)
+    ds = levels_dataset(levels, height, width)
+    assert len(ds) >= GRAM_SPLIT_ROWS
+    _, svals, components = pca_oracle(base / 255.0)
+    for data in (ds, ds.matrix()):
+        basis = fit(data)
+        assert np.max(np.abs(basis.components - components)) <= 1e-6
+        assert np.max(np.abs(np.array(basis.singular_values) / np.sqrt(copies) - svals) / svals) <= 1e-6
+
+
+def test_two_split_gram_fits_write_the_same_basis_file(tmp_path):
+    ds = random_levels_dataset(600, 24, 100, seed=41)
+    assert len(ds) >= GRAM_SPLIT_ROWS
+    save_basis(fit(ds), tmp_path / "first.json")
+    save_basis(fit(ds), tmp_path / "second.json")
+    assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
+
+
 def test_projection_and_scoring_by_row_blocks_match_whole_matrix_arithmetic():
     # 64 x 64 images: 100 rows make three full row blocks and a partial one
     ds = random_levels_dataset(100, 64, 64, seed=25)
@@ -350,6 +385,12 @@ def test_fit_and_project_refuse_a_non_finite_matrix(monkeypatch, shape, value):
         project(basis, mat)
 
 
+def nan_in_the_last_column_block(n: int, p: int) -> np.ndarray:
+    mat = np.random.default_rng(29).normal(size=(n, p))
+    mat[-1, -1] = np.nan
+    return mat
+
+
 @pytest.mark.parametrize(
     "data, error",
     [
@@ -360,9 +401,11 @@ def test_fit_and_project_refuse_a_non_finite_matrix(monkeypatch, shape, value):
         (levels_dataset(np.full((12, 30), 128), 5, 6), NumericalError),
         (random_levels_dataset(2, 5, 6, seed=20), DataError),
         (np.full((12, 30), np.nan), DataError),
+        (np.random.default_rng(20).normal(size=(GRAM_SPLIT_ROWS, FIT_BLOCK_COLS + 8)), None),
+        (nan_in_the_last_column_block(GRAM_SPLIT_ROWS, FIT_BLOCK_COLS + 8), DataError),
     ],
     ids=["fits", "identical-rows", "two-rows", "dataset-fits", "dataset-identical-rows", "dataset-two-rows",
-         "non-finite"],
+         "non-finite", "split-gram-fits", "split-gram-non-finite"],
 )
 def test_fit_leaves_no_thread_running(data, error):
     before = threading.active_count()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -127,6 +128,58 @@ def test_render_matches_per_pixel_reference(alpha):
     expected = per_pixel_render(grid.cells, images, scores, 9, alpha, ANCHORS, EMPTY_CELL_RGB)
     assert [sum(c is None for c in row) for row in grid.cells] == [1, 0, 2, 4]
     assert np.array_equal(canvas, expected)
+
+
+def serial_render(grid, dataset, failures, cell_px, alpha):
+    """render's arithmetic with every grid row painted on the calling thread."""
+    pos = {rec_id: i for i, rec_id in enumerate(failures.ids)}
+    images = dataset.levels().reshape(len(dataset), dataset.height, dataset.width)
+    canvas = np.empty((grid.rows * cell_px, grid.cols * cell_px, 3), dtype=np.uint8)
+    row_blocks = canvas.reshape(grid.rows, cell_px, grid.cols, cell_px, 3)
+    rr = (np.arange(cell_px) * dataset.height) // cell_px
+    cc = (np.arange(cell_px) * dataset.width) // cell_px
+    for block, row in zip(row_blocks, grid.cells):
+        block[...] = EMPTY_CELL_RGB
+        occupied = [c for c, rec_id in enumerate(row) if rec_id is not None]
+        if occupied:
+            at = [pos[row[c]] for c in occupied]
+            gray = images[at][:, rr][:, :, cc].astype(np.float64)
+            tint = colormap(1.0 - failures.scores[at]).astype(np.float64)
+            blended = (1.0 - alpha) * gray[..., None] + alpha * tint[:, None, None, :]
+            block[:, occupied] = np.clip(np.rint(blended), 0, 255).astype(np.uint8).swapaxes(0, 1)
+    return canvas
+
+
+@pytest.mark.parametrize(
+    "n, rows, cols, empty_row",
+    [(25, 5, 5, None), (6, 1, 6, None), (30, 7, 5, 3), (20, 6, 6, None), (1, 1, 1, None)],
+    ids=["odd-rows", "single-row", "empty-row", "more-cells-than-images", "single-cell"],
+)
+def test_render_by_two_threads_paints_the_bytes_of_a_serial_render(n, rows, cols, empty_row):
+    rng = np.random.default_rng(30)
+    ds = Dataset.from_records([ImageRecord(f"s{i}", rng.random((12, 10)), i % 2) for i in range(n)])
+    grid = make_grid(rng.normal(size=(n, 2)), rows, cols, ids=ds.ids())
+    if empty_row is not None:
+        grid.cells[empty_row] = [None] * cols
+    failures = failures_of(ds.ids(), rng.random(n), [i % 2 for i in range(n)])
+    before = threading.active_count()
+    canvas = render(grid, ds, failures, cell_px=11, alpha=0.4)
+    assert threading.active_count() == before
+    assert canvas.tobytes() == serial_render(grid, ds, failures, 11, 0.4).tobytes()
+
+
+def test_a_render_refused_on_the_helpers_rows_leaves_no_thread_running():
+    # a score above 1 on the last grid row fails the colormap on the helper
+    ds = flat_dataset([0.1, 0.2, 0.3, 0.4])
+    grid = make_grid(np.array([[0.0, 1.0], [1.0, 1.0], [0.0, 0.0], [1.0, 0.0]]), 2, 2, ids=ds.ids())
+    bottom = ds.ids().index(grid.cells[1][0])
+    scores = np.zeros(4)
+    scores[bottom] = 1.5
+    failures = FailureScores(ids=ds.ids(), predictions=np.zeros(4), scores=scores)
+    before = threading.active_count()
+    with pytest.raises(DataError, match="correctness"):
+        render(grid, ds, failures, cell_px=8)
+    assert threading.active_count() == before
 
 
 def test_render_input_validation():

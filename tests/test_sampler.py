@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biasgrid.sampler
 from biasgrid.errors import DataError
 from biasgrid.sampler import (
     MatchSet,
@@ -72,6 +73,25 @@ def test_sampling_is_seeded_and_deterministic():
 def test_zero_weight_ids_are_never_drawn():
     w = make_weights(scores_of([0.0, 1.0]))
     assert set(sample(w, 300, seed=1).tolist()) == {1}
+
+
+def test_a_draw_just_below_one_never_lands_on_a_trailing_zero_weight(monkeypatch):
+    # ten weights of 0.1 sum to 0.9999999999999999, so a cdf topped up to 1
+    # only at its last entry would hand that draw to the zero-weight position 10
+    w = make_weights(scores_of([0.1] * 10 + [0.0]))
+    assert np.cumsum(w)[-2] < 1.0
+
+    class TopRng:
+        def random(self, k):
+            return np.full(k, np.nextafter(1.0, 0.0))
+
+    monkeypatch.setattr(biasgrid.sampler, "make_rng", lambda seed: TopRng())
+    assert sample(w, 5, seed=0).tolist() == [9] * 5
+
+
+def test_sample_refuses_weights_without_a_positive_entry():
+    with pytest.raises(DataError, match="no positive entry"):
+        sample(np.zeros(3), 4, seed=0)
 
 
 def test_sample_frequencies_roughly_track_weights():
