@@ -13,29 +13,30 @@ could then be kept.
 
 Training reads the dataset's uint8 levels and sees the floats
 levels / 255.0. It copies only the stop split out as floats. The fit rows
-reach the gradient steps in blocks of BLOCK_BATCHES batches: one helper
-thread gathers a block's levels by row index and divides them into one of
-two reused float buffers, while the calling thread runs the steps on the
-other buffer's block. The next block is always queued: when the steps
-ask for block j + 1, block j + 2 is queued into block j's buffer, across
-epoch boundaries, and an epoch's shuffle is drawn when its first block is
-queued. The two overlap because numpy releases the GIL in BLAS products
-and in ufunc loops over large arrays. Each batch is still a C-contiguous
-row slice holding the same rows in the same order, so every parameter is
-the one a step-by-step gather would give. The thread starts with the
-first epoch and is joined before the call returns or raises. Each epoch
-records the stop split's loss and accuracy; no pass over the whole fit
-split is made beyond the gradient steps themselves.
+reach the gradient steps in blocks of BLOCK_BATCHES batches: a one-worker
+ThreadPoolExecutor gathers a block's levels by row index and divides them
+into one of two reused float buffers, one job per block, while the calling
+thread runs the steps on the other buffer's block. The next block is always
+queued: when the steps ask for block j + 1, block j + 2 is submitted into
+block j's buffer, across epoch boundaries, and an epoch's shuffle is drawn
+when its first block is submitted. The two overlap because numpy releases
+the GIL in BLAS products and in ufunc loops over large arrays. Each batch is
+still a C-contiguous row slice holding the same rows in the same order, so
+every parameter is the one a step-by-step gather would give. The executor
+opens with the first epoch and is left, its thread joined, before the call
+returns or raises. Each epoch records the stop split's loss and accuracy;
+no pass over the whole fit split is made beyond the gradient steps
+themselves.
 """
 
 from __future__ import annotations
 
 import json
-import queue
-import threading
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
+from itertools import cycle
 from pathlib import Path
 
 import numpy as np
@@ -70,18 +71,18 @@ class TrainHyper:
     full_batch: bool = False
 
     def validate(self) -> None:
-        if self.learning_rate < 0.0:
-            raise DataError("learning_rate must be >= 0")
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise DataError("learning_rate must be finite and >= 0")
         if self.max_epochs < 0:
             raise DataError("max_epochs must be >= 0")
         if self.batch_size < 1:
             raise DataError("batch_size must be >= 1")
-        if self.l2 < 0.0:
-            raise DataError("l2 must be >= 0")
+        if not 0.0 <= self.l2 < np.inf:
+            raise DataError("l2 must be finite and >= 0")
         if self.early_stop_patience < 1:
             raise DataError("early_stop_patience must be >= 1")
-        if self.early_stop_min_delta < 0.0:
-            raise DataError("early_stop_min_delta must be >= 0")
+        if not 0.0 <= self.early_stop_min_delta < np.inf:
+            raise DataError("early_stop_min_delta must be finite and >= 0")
         if not 0.0 < self.val_fraction < 1.0:
             raise DataError("val_fraction must be strictly inside (0, 1)")
 
@@ -159,54 +160,30 @@ def _blocks(fit_idx: np.ndarray, size: int, hyper: TrainHyper, rng):
             yield rows[start : start + size], start + size >= n_fit
 
 
-def _divide(levels: np.ndarray, requests: queue.SimpleQueue, done: queue.SimpleQueue) -> None:
-    """Helper thread: divide each requested block's levels into its buffer,
-    in request order, and report each as done (None) or its error, which
-    the caller raises, until None is requested."""
-    while (job := requests.get()) is not None:
-        rows, buf = job
-        try:
-            np.divide(levels[rows], 255.0, out=buf[: len(rows)])
-        except BaseException as exc:
-            done.put(exc)
-        else:
-            done.put(None)
-
-
 def _divided_blocks(levels: np.ndarray, labels: np.ndarray, blocks, size: int):
     """Yield (x, y, last in epoch) per block, x = levels[rows] / 255.0.
 
-    The helper thread starts at the first next() and divides a block ahead
-    into the other of two buffers; the buffer of a yielded block is queued
-    for the block two further on when the next one is asked for. Closing
-    the generator joins the thread.
+    A one-worker ThreadPoolExecutor opens at the first next(). Each block's
+    gather and division is one job, submitted a block ahead: block k
+    divides into buffers[k % 2], and block k + 2 is drawn from `blocks` and
+    submitted into that buffer when the block after k is asked for. A
+    job's error is raised by its result(). Closing the generator leaves
+    the with block, which waits for the queued job.
     """
     buffers = np.empty((2, size, levels.shape[1]))
-    requests: queue.SimpleQueue = queue.SimpleQueue()
-    done: queue.SimpleQueue = queue.SimpleQueue()
     queued: deque = deque()
 
-    def request(buf: np.ndarray) -> None:
-        block = next(blocks, None)
-        if block is not None:
-            requests.put((block[0], buf))
-            queued.append((*block, buf))
+    def divide(rows: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        return np.divide(levels[rows], 255.0, out=buf[: len(rows)])
 
-    helper = threading.Thread(target=_divide, args=(levels, requests, done), name="biasgrid-divide", daemon=True)
-    helper.start()
-    try:
-        for buf in buffers:
-            request(buf)
-        while queued:
-            rows, last, buf = queued.popleft()
-            error = done.get()
-            if error is not None:
-                raise error
-            yield buf[: len(rows)], labels[rows], last
-            request(buf)
-    finally:
-        requests.put(None)
-        helper.join()
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for (rows, last), buf in zip(blocks, cycle(buffers)):
+            queued.append((helper.submit(divide, rows, buf), rows, last))
+            if len(queued) == 2:
+                job, rows, last = queued.popleft()
+                yield job.result(), labels[rows], last
+        for job, rows, last in queued:
+            yield job.result(), labels[rows], last
 
 
 def _optimize(w0: np.ndarray, b0: float, dataset: Dataset, hyper: TrainHyper) -> RefModel:

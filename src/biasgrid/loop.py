@@ -119,8 +119,8 @@ class LoopConfig:
             raise DataError("k must be at least 1")
         if self.m < 1:
             raise DataError("m must be at least 1")
-        if self.convergence_min_delta < 0.0:
-            raise DataError("convergence_min_delta must be >= 0")
+        if not 0.0 <= self.convergence_min_delta < math.inf:
+            raise DataError("convergence_min_delta must be finite and >= 0")
         if self.convergence_patience < 1:
             raise DataError("convergence_patience must be >= 1")
         if self.weight_mode not in WEIGHT_MODES:

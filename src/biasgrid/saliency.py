@@ -125,7 +125,8 @@ def render(
     def paint(rows: range) -> None:
         for r in rows:
             block, row = row_blocks[r], grid.cells[r]
-            block[...] = EMPTY_CELL_RGB
+            empty = [c for c, rec_id in enumerate(row) if rec_id is None]
+            block[:, empty] = EMPTY_CELL_RGB
             occupied = [c for c, rec_id in enumerate(row) if rec_id is not None]
             if not occupied:
                 continue

@@ -91,8 +91,8 @@ class CorpusSpec:
             raise DataError("corpus split sizes must be >= 1")
         if not 0.0 <= self.train_complexion_mix <= 1.0:
             raise DataError("train_complexion_mix must be in [0, 1]")
-        if self.noise_sigma < 0.0:
-            raise DataError("noise_sigma must be >= 0")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise DataError("noise_sigma must be finite and >= 0")
         if self.height < 16 or self.width < 16:
             raise DataError("image size must be at least 16x16")
 

@@ -1,6 +1,8 @@
-"""scripts/bench_trajectory.py refuses seed ranges it cannot summarise and
-reports a benchmark run that fails."""
+"""scripts/bench_trajectory.py refuses seed ranges it cannot summarise,
+reports a benchmark run that fails, and prints only declared layer metrics."""
 
+import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +49,13 @@ def test_a_failed_run_names_its_side_and_shows_its_stderr(tmp_path):
     assert "early line\nrun.py: no such workload" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert out.read_text() == "{}\n"
+
+
+def test_every_traced_name_is_a_per_layer_metric():
+    # TRACED read from the script's source, so no benchmark module is imported
+    tree = ast.parse(SCRIPT.read_text(encoding="utf-8"))
+    traced = next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                  and [getattr(target, "id", None) for target in node.targets] == ["TRACED"])
+    spec = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    per_layer = {metric["name"] for metric in spec["per_layer"]}
+    assert traced and [name for name in traced if name not in per_layer] == []

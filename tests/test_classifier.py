@@ -234,15 +234,16 @@ def finishes(fn, timeout=60.0):
 
 @pytest.fixture
 def helper_starts(monkeypatch):
-    """A list that gets one entry each time _optimize's helper thread runs."""
+    """A list that gets one entry each time _optimize opens its helper
+    thread's executor."""
     starts = []
-    divide = classifier._divide
 
-    def counted(*args):
-        starts.append(1)
-        divide(*args)
+    class Counted(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(1)
+            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(classifier, "_divide", counted)
+    monkeypatch.setattr(classifier, "ThreadPoolExecutor", Counted)
     return starts
 
 
@@ -278,6 +279,33 @@ def test_an_error_mid_epoch_propagates_and_leaves_no_thread_running(helper_start
     assert threading.active_count() == before
     assert len(calls) == 3
     assert helper_starts == [1]
+
+
+class ThirdGatherFails(np.ndarray):
+    """Levels whose gather of rows by an index array records its thread,
+    and raises on its third call; what it returns is a plain array."""
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray):
+            self.gathers.append(threading.current_thread())
+            if len(self.gathers) == 3:
+                raise RuntimeError("third gather")
+        return super().__getitem__(key).view(np.ndarray)
+
+
+def test_an_error_in_a_helper_side_gather_propagates_and_leaves_no_thread_running():
+    # the first gather is the stop split's, on the calling thread; the
+    # second and third gather the first two blocks of 270 fit rows
+    ds = toy_dataset(n=300, gap=0.0, sigma=0.1, seed=3)
+    levels = ds.levels().copy().view(ThirdGatherFails)
+    levels.gathers = []
+    failing = Dataset.from_matrix(levels, ds.height, ds.width, ds.ids(), ds.labels(), ds.groups())
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="third gather"):
+        finishes(lambda: train(failing, TrainHyper(max_epochs=5, seed=5)))
+    assert threading.active_count() == before
+    caller, _, helper = levels.gathers[:3]
+    assert helper is not caller and not helper.is_alive()
 
 
 @pytest.mark.parametrize("name", ["saturated_fine_tune", "max_epochs_0"])

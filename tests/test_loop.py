@@ -73,6 +73,23 @@ def test_a_non_finite_scheduled_rate_is_refused(rate):
         LoopConfig(max_iterations=1, lr_schedule=(rate,)).resolved_schedule()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        (TrainHyper, "learning_rate"),
+        (TrainHyper, "l2"),
+        (TrainHyper, "early_stop_min_delta"),
+        (LoopConfig, "convergence_min_delta"),
+        (CorpusSpec, "noise_sigma"),
+    ],
+    ids=lambda arg: arg if isinstance(arg, str) else arg.__name__,
+)
+def test_a_non_finite_setting_is_refused(owner, name, value):
+    with pytest.raises(DataError, match=f"{name} must be finite and >= 0"):
+        owner(**{name: value}).validate()
+
+
 @pytest.mark.parametrize(
     "setting, message",
     [
