@@ -33,7 +33,8 @@ from repeat import seeds  # noqa: E402
 # lines of a failed run's stderr to print
 STDERR_LINES = 20
 TRACED = ("classifier.train.s", "classifier.fine_tune.s", "classifier.epoch_rows_per_s", "pca.fit.s",
-          "pca.project.s", "saliency.compute_failures.s", "sampler.match_pool.s", "saliency.render.s")
+          "pca.project.s", "grid.make_grid.s", "saliency.compute_failures.s", "sampler.match_pool.s",
+          "saliency.render.s")
 
 
 def run(side: str, checkout: Path, spec: dict, workload: str, seed: int, trace: int) -> dict:

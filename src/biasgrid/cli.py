@@ -5,8 +5,9 @@ by a flat key = value config file plus flag overrides; all randomness
 flows from the single seed in that config. Each override flag sets one
 config key (its argparse dest), and the whole config is checked before
 any file is read or written, so an out-of-range setting exits 2 under
-every subcommand. Exit codes: 0 success, 2 config error, 3 data error,
-4 numerical error.
+every subcommand. Exit codes: 0 success, 1 other package error or a file
+that cannot be written (one stderr line naming the path), 2 config error,
+3 data error, 4 numerical error.
 """
 
 from __future__ import annotations
@@ -225,7 +226,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"biasgrid: numerical error: {exc}", file=sys.stderr)
         return 4
-    except BiasgridError as exc:
+    except (BiasgridError, OSError) as exc:  # an OSError's message names its path
         print(f"biasgrid: error: {exc}", file=sys.stderr)
         return 1
 

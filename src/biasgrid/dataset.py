@@ -13,11 +13,12 @@ in [0, 1]) and quantizes them by netpbm's one rule, rint(v * 255) with ties
 to even; the generator and the manifest reader write levels straight into
 their rows. Every float a consumer sees is exactly levels / 255.0, and no
 float copy is kept. `float_rows()` computes it one block of about
-ROW_BLOCK_BYTES of rows at a time, which is how the package's projection,
-scoring and fingerprint read a dataset, so none of them holds an N x P
-float array. Each record's `pixels` is a read-only H x W float64 image
-computed from its row on access. `matrix()` computes the whole N x P float
-matrix at once; no stage of the package calls it.
+ROW_BLOCK_BYTES of rows at a time, which is how the package's projection
+and scoring read a dataset, so neither holds an N x P float array (a
+basis's fingerprint hashes the levels themselves). Each record's `pixels`
+is a read-only H x W float64 image computed from its row on access.
+`matrix()` computes the whole N x P float matrix at once; no stage of the
+package calls it.
 
 Rows move by position, in blocks; no API looks a record up by id.
 `take(indices)` copies those rows into a new dataset. `appended(rows)`

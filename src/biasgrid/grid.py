@@ -6,6 +6,14 @@ maximum y (matching image layout); each point takes the closest image not
 yet assigned, so no image appears twice. The result depends on traversal
 order and on the lowest-index tie rule, both fixed here for
 reproducibility.
+
+The squared x-offset of every image from every lattice column, and the
+squared y-offset from every lattice row, are computed once per call (a
+cols x N and a rows x N array, each cut to the lattice columns and rows
+that the first N cells reach). A cell's squared distances are then its
+column's x-term plus its row's y-term, added into one reused buffer: the
+same float operations on the same operands as subtracting the lattice
+point from each image and squaring per cell, so the same cells are filled.
 """
 
 from __future__ import annotations
@@ -69,6 +77,11 @@ def make_grid(
     ys = np.linspace(max_y, min_y, rows) if rows > 1 else np.array([(min_y + max_y) / 2.0])
 
     cells: list[list[str | None]] = [[None] * cols for _ in range(rows)]
+    # only the first N cells are filled: they reach at most N columns and
+    # ceil(N / cols) rows, so a long 1 x cols or rows x 1 grid stays N x N
+    dx2 = (pts[:, 0] - xs[:n, None]) ** 2
+    dy2 = (pts[:, 1] - ys[: -(-n // cols), None]) ** 2
+    dist2 = np.empty(n)
     taken = np.zeros(n, dtype=bool)
     n_assigned = 0
     for r in range(rows):
@@ -77,8 +90,7 @@ def make_grid(
         for c in range(cols):
             if n_assigned == n:
                 break
-            diff = pts - (xs[c], ys[r])  # lattice point (r, c)
-            dist2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
+            np.add(dx2[c], dy2[r], out=dist2)  # to lattice point (r, c)
             dist2[taken] = np.inf
             pick = int(np.argmin(dist2))  # first minimum = lowest index on ties
             cells[r][c] = ids[pick]

@@ -46,13 +46,15 @@ product in its last bits, depending on how the BLAS kernels' edge blocks
 fall: with OpenBLAS 0.3.31 it was byte-identical at 512, 768 and 1024
 rows, and at 600 and 1000 rows the components moved by at most 3e-17.
 
-The trained_on fingerprint, a SHA-256 pass over the C-order bytes of the
-float64 input matrix that no step of the fit reads, runs on a helper
-thread of the same two-worker pool while the calling thread fits. They
-overlap because hashlib releases the GIL while it hashes a large buffer,
-and numpy releases it in BLAS products and in ufunc loops over large
-arrays. A Dataset's helper hashes its row blocks of levels / 255.0, so it
-keeps no float copy either.
+The trained_on fingerprint, which no step of the fit reads, is a SHA-256
+pass over the input as stored: a Dataset's C-order uint8 levels, or the
+C-order bytes of a float64 matrix. It runs on a helper thread of the same
+two-worker pool while the calling thread fits. They overlap because
+hashlib releases the GIL while it hashes a large buffer, and numpy
+releases it in BLAS products and in ufunc loops over large arrays. A
+Dataset's levels are an eighth of the bytes of its floats and need no
+division, so on a wide Dataset the hash takes a small share of the
+second core that the split Gram product also uses.
 """
 
 from __future__ import annotations
@@ -94,10 +96,12 @@ SUBSPACE_SEED = 0
 FIT_BLOCK_COLS = 2304
 
 # Rows from which the Gram product is split over the calling thread and one
-# helper (see the module docstring): the measured crossover. Median fit
-# times, unsplit against split, one BLAS thread on 2 cores: 22.8 / 23.4 ms
-# at 300 x 4096, 103.1 / 98.5 ms at 512 x 9216, 219.8 / 174.7 ms at
-# 768 x 9216.
+# helper (see the module docstring). Fits of synthetic face Datasets, one
+# BLAS thread on 2 cores, medians of 10 alternating reps of 11 fits each,
+# unsplit against split: 33.0 / 35.3 ms at 512 x 4096 and 74.3 / 77.1 ms at
+# 512 x 9216 (the split won 1/10 at each), 139.5 / 106.8 ms at 768 x 9216
+# (10/10). So the crossover lies between 512 and 768 rows; the gate stays
+# at 512 because moving it would move the bytes of fits in between.
 GRAM_SPLIT_ROWS = 512
 
 
@@ -113,7 +117,7 @@ class PcaBasis:
     mean: np.ndarray  # (P,)
     components: np.ndarray  # (P, 2)
     singular_values: tuple[float, float]  # descending
-    trained_on: str  # fingerprint of the fitted matrix
+    trained_on: str  # dataset_fingerprint of the fitted input (a Dataset's levels)
 
 
 def _source(data) -> Dataset | np.ndarray:
@@ -146,17 +150,14 @@ def _columns(source: Dataset | np.ndarray, start: int, stop: int, out: np.ndarra
 
 
 def dataset_fingerprint(data) -> str:
-    """Stable hex fingerprint of the flattened float64 image matrix: the
-    SHA-256 of its shape string and C-order bytes. A Dataset's matrix is
-    hashed one row block of levels / 255.0 at a time, never whole."""
+    """Stable hex fingerprint of the input as stored: the first 16 hex
+    digits of the SHA-256 of its shape string followed by its C-order
+    bytes. Those are a Dataset's N x P uint8 levels, or a matrix's entries
+    as float64, so a Dataset and its float matrix have different
+    fingerprints."""
     source = _source(data)
-    digest = hashlib.sha256()
-    digest.update(str(_shape(source)).encode("ascii"))
-    if isinstance(source, Dataset):
-        for _, rows in source.float_rows():
-            digest.update(rows)
-    else:
-        digest.update(np.ascontiguousarray(source))
+    digest = hashlib.sha256(str(_shape(source)).encode("ascii"))
+    digest.update(source.levels() if isinstance(source, Dataset) else np.ascontiguousarray(source))
     return digest.hexdigest()[:16]
 
 

@@ -5,13 +5,16 @@ test: the SVD is a hand-rolled one-sided Jacobi instead of LAPACK, the grid
 assignment is literal python loops instead of vectorized argmin, neighbor
 search sorts (distance, index) pairs, gradients come from central finite
 differences of the loss value, and the grid render paints pixel by pixel in
-python floats. There are two exceptions. reference_optimize is the training
+python floats. There are three exceptions. reference_optimize is the training
 loop as it was before the ceiling exit, on its own copy of the fit split,
 kept so that the exit and the batches gathered by row index can be shown
 to leave every kept parameter byte-equal. reference_from_records is
 the per-record validation loop Dataset.from_records ran before a dataset
 became one matrix, kept unchanged so that the whole-matrix checks can be
 shown to raise the same error for the same first bad record.
+reference_make_grid is make_grid's per-cell loop as it was before the
+squared offsets were computed once per call, kept so that the same cells
+can be shown to be filled.
 """
 
 import math
@@ -130,6 +133,35 @@ def brute_force_grid(coords, rows, cols, ids):
             cells[r][c] = ids[best]
             used[best] = True
             remaining -= 1
+    return cells
+
+
+def reference_make_grid(coords, rows, cols, ids):
+    """make_grid's cells as its per-cell loop computed them: each cell
+    subtracts its lattice point from every image and squares both offsets."""
+    pts = np.asarray(coords, dtype=np.float64)
+    n = pts.shape[0]
+    min_x, max_x = float(pts[:, 0].min()), float(pts[:, 0].max())
+    min_y, max_y = float(pts[:, 1].min()), float(pts[:, 1].max())
+    xs = np.linspace(min_x, max_x, cols) if cols > 1 else np.array([(min_x + max_x) / 2.0])
+    ys = np.linspace(max_y, min_y, rows) if rows > 1 else np.array([(min_y + max_y) / 2.0])
+
+    cells = [[None] * cols for _ in range(rows)]
+    taken = np.zeros(n, dtype=bool)
+    n_assigned = 0
+    for r in range(rows):
+        if n_assigned == n:
+            break
+        for c in range(cols):
+            if n_assigned == n:
+                break
+            diff = pts - (xs[c], ys[r])  # lattice point (r, c)
+            dist2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
+            dist2[taken] = np.inf
+            pick = int(np.argmin(dist2))  # first minimum = lowest index on ties
+            cells[r][c] = ids[pick]
+            taken[pick] = True
+            n_assigned += 1
     return cells
 
 

@@ -141,6 +141,29 @@ def test_fit_pca_on_zero_size_images_exits_three(tmp_path, capsys):
     assert not (tmp_path / "b.json").exists()
 
 
+@pytest.mark.parametrize("command", ["fit-pca --out", "visualize --sidecar"])
+def test_an_output_path_that_is_a_directory_exits_one_naming_it(tmp_path, small_cfg, capsys, command):
+    out = run_synth(tmp_path, small_cfg)
+    args = ["--out-dir", str(out)]
+    assert main(args + ["fit-pca", "--manifest", str(out / "val.jsonl"), "--out", "basis.json"]) == 0
+    assert main(args + ["train", "--manifest", str(out / "train.jsonl"), "--out-model", "model.json"]) == 0
+    blocked = out / "blocked"
+    blocked.mkdir()
+    capsys.readouterr()
+    name, flag = command.split()
+    argv = {
+        "fit-pca": ["fit-pca", "--manifest", str(out / "val.jsonl")],
+        "visualize": ["visualize", "--manifest", str(out / "val.jsonl"), "--basis", str(out / "basis.json"),
+                      "--model", str(out / "model.json"), "--out", "grid.ppm"],
+    }[name]
+    code = main(args + argv + [flag, str(blocked)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith("biasgrid: error: ") and err.count("\n") == 1
+    assert str(blocked) in err
+
+
 def test_visualize_malformed_model_exits_three(tmp_path, small_cfg, capsys):
     out = run_synth(tmp_path, small_cfg)
     args = ["--out-dir", str(out)]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from biasgrid.errors import DataError
 from biasgrid.grid import default_dims, make_grid
-from oracles import brute_force_grid
+from oracles import brute_force_grid, reference_make_grid
 
 
 def test_matches_brute_force_on_seeded_instances():
@@ -76,6 +76,28 @@ def test_brute_force_parity_property(points, rows, cols):
     assert layout.cells == brute_force_grid(coords, rows, cols, ids)
     assigned = layout.assigned_ids()
     assert len(assigned) == len(set(assigned)) == min(len(points), rows * cols)
+
+
+@pytest.mark.parametrize(
+    "coords, rows, cols",
+    [
+        # on a 3 x 3 lattice at 0, 1, 2: each midpoint ties between four lattice
+        # points, the centre (1, 1) ties between four midpoints, and each point is doubled
+        (np.repeat([[0.0, 0.0], [2.0, 2.0], [0.5, 0.5], [1.5, 1.5], [0.5, 1.5], [1.5, 0.5]], 2, axis=0), 3, 3),
+        (np.full((6, 2), 0.25), 2, 3),  # every point the same
+        (np.random.default_rng(40).normal(size=(9, 2)), 1, 9),
+        (np.random.default_rng(41).normal(size=(9, 2)), 9, 1),
+        (np.random.default_rng(42).normal(size=(9, 2)), 1, 4),  # a 1 x N grid short of the points
+        (np.random.default_rng(43).normal(size=(7, 2)), 4, 5),  # rows * cols > N
+        (np.random.default_rng(44).normal(size=(3, 2)), 1, 50),
+        (np.random.default_rng(45).normal(size=(300, 2)), 17, 17),
+        (np.random.default_rng(46).normal(size=(1024, 2)), 32, 32),
+    ],
+    ids=["ties-duplicates", "all-equal", "1xN", "Nx1", "1xN-short", "more-cells", "wide-row", "300", "1024"],
+)
+def test_cells_match_the_per_cell_reference(coords, rows, cols):
+    ids = [f"im{i}" for i in range(len(coords))]
+    assert make_grid(coords, rows, cols, ids=ids).cells == reference_make_grid(coords, rows, cols, ids)
 
 
 def test_default_dims():

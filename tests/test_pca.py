@@ -175,10 +175,7 @@ def test_fit_accepts_datasets_and_matrices_equally():
     ds = Dataset.from_records(
         [ImageRecord(f"r{i}", imgs[i], i % 2) for i in range(10)]
     )
-    a = fit(ds)
-    b = fit(imgs.reshape(10, 20))
-    assert np.array_equal(a.components, b.components)
-    assert a.trained_on == b.trained_on
+    assert_fits_alike(ds, imgs.reshape(10, 20))
 
 
 def test_project_accepts_datasets_and_matrices_equally():
@@ -219,16 +216,44 @@ def random_levels_dataset(n: int, height: int, width: int, seed: int) -> Dataset
     return levels_dataset(levels, height, width)
 
 
-def test_a_datasets_fingerprint_hashed_by_row_blocks_is_that_of_its_matrix():
-    # 32 x 64 images: each hashing block holds ROW_BLOCK_BYTES / (8 * 2048) rows
+def assert_fits_alike(ds: Dataset, mat: np.ndarray) -> None:
+    """A Dataset and its float matrix fit to byte-equal bases, and each
+    basis records its own input's fingerprint."""
+    from_ds, from_mat = fit(ds), fit(mat)
+    assert from_ds.mean.tobytes() == from_mat.mean.tobytes()
+    assert from_ds.components.tobytes() == from_mat.components.tobytes()
+    assert from_ds.singular_values == from_mat.singular_values
+    assert from_ds.trained_on == dataset_fingerprint(ds) != from_mat.trained_on == dataset_fingerprint(mat)
+
+
+def test_a_datasets_fingerprint_is_sha256_of_shape_and_levels():
     ds = random_levels_dataset(150, 32, 64, seed=21)
-    rows_per_block = ROW_BLOCK_BYTES // (8 * 32 * 64)
-    assert len(ds) > rows_per_block and len(ds) % rows_per_block != 0  # a ragged last block
-    mat = ds.matrix()
-    expected = hashlib.sha256(str(mat.shape).encode("ascii") + mat.tobytes()).hexdigest()[:16]
-    assert dataset_fingerprint(ds) == dataset_fingerprint(mat) == expected
-    assert dataset_fingerprint(ds.take(range(rows_per_block))) == dataset_fingerprint(mat[:rows_per_block])
-    assert dataset_fingerprint(ds.take([])) == dataset_fingerprint(mat[:0])
+    levels = ds.levels()
+    expected = hashlib.sha256(str((150, 2048)).encode("ascii") + levels.tobytes()).hexdigest()[:16]
+    assert dataset_fingerprint(ds) == expected
+    assert dataset_fingerprint(ds.take([])) == hashlib.sha256(b"(0, 2048)").hexdigest()[:16]
+    moved = levels.copy()
+    moved[149, 2047] ^= 1
+    assert dataset_fingerprint(levels_dataset(moved, 32, 64)) != expected
+    fixed = levels_dataset(np.arange(12, dtype=np.uint8).reshape(3, 4) * 21, 2, 2)
+    assert dataset_fingerprint(fixed) == "0f7f9f12d05921e0"  # sha256(b"(3, 4)" + bytes(range(0, 252, 21)))
+
+
+def test_a_datasets_fingerprint_hashed_by_row_blocks_is_that_of_its_matrix():
+    # the fingerprints differ (levels against floats) and the bases do not,
+    # for the whole set and for the rows of its first float_rows block
+    ds = random_levels_dataset(150, 32, 64, seed=21)
+    for part in (ds, ds.take(range(ROW_BLOCK_BYTES // (8 * 32 * 64)))):
+        assert_fits_alike(part, part.matrix())
+
+
+def assert_basis_files_alike(ds: Dataset, mat: np.ndarray, tmp_path) -> None:
+    """The basis files fitted from a Dataset and from its float matrix hold
+    the same numbers (JSON floats round-trip exactly, so the arrays are
+    byte-equal), and each its own input's fingerprint."""
+    objs = [json.loads((tmp_path / f"from_{name}.json").read_text()) for name in ("dataset", "matrix")]
+    assert [obj.pop("trained_on") for obj in objs] == [dataset_fingerprint(ds), dataset_fingerprint(mat)]
+    assert objs[0] == objs[1]
 
 
 def test_fitting_a_dataset_or_its_matrix_writes_the_same_basis_file(tmp_path):
@@ -236,7 +261,7 @@ def test_fitting_a_dataset_or_its_matrix_writes_the_same_basis_file(tmp_path):
     mat = ds.matrix()
     save_basis(fit(ds), tmp_path / "from_dataset.json")
     save_basis(fit(mat), tmp_path / "from_matrix.json")
-    assert (tmp_path / "from_dataset.json").read_bytes() == (tmp_path / "from_matrix.json").read_bytes()
+    assert_basis_files_alike(ds, mat, tmp_path)
     assert mat.tobytes() == ds.matrix().tobytes()  # a caller's matrix is not centered in place
 
 
@@ -368,7 +393,7 @@ def test_a_dataset_reaching_the_thin_svd_fits_as_its_matrix(monkeypatch, tmp_pat
     save_basis(fit(ds), tmp_path / "from_dataset.json")
     assert levels.shape in shapes  # the thin SVD of the whole centered matrix
     save_basis(fit(ds.matrix()), tmp_path / "from_matrix.json")
-    assert (tmp_path / "from_dataset.json").read_bytes() == (tmp_path / "from_matrix.json").read_bytes()
+    assert_basis_files_alike(ds, ds.matrix(), tmp_path)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
